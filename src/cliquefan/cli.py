@@ -104,6 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, help="comma-separated orders")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--parts", default="c5")
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", help="output file (default: stdout)")
     return parser
 
@@ -238,7 +239,7 @@ def _cmd_table(args) -> int:
     for n in ns:
         g = generators.rt_lower_construction(n, args.r, args.parts)
         bound = (1.0 - 1.0 / args.r) * n * n / 2.0
-        alpha = len(invariants.max_independent_set(g))
+        alpha = len(invariants.max_independent_set(g, budget=args.budget))
         rows.append([n, args.r, g.size, repr(bound), alpha])
     out, close = _open_out(args.out)
     try:

@@ -373,6 +373,8 @@ def search_thresholds(n: int, k: int, r: int, eps: float) -> ThresholdRecord:
         raise ValueError("eps must lie in (0, 1)")
     if n < 0 or k < 1 or r < 1:
         raise ValueError("need n >= 0, k >= 1, r >= 1")
+    if r >= 2 and eps * r / (r - 1) >= 1.0:
+        raise ValueError(f"eps must lie below (r - 1)/r = {(r - 1) / r:.6g} for r = {r}")
     delta = math.sqrt(2.0) / 10.0 * eps * eps
     if r >= 2:
         peel_beta = (1.0 - 1.0 / r) / 2.0

@@ -68,7 +68,8 @@ def max_matching(g: Graph) -> Matching:
                     match[u] = v
                     break
     for v in range(n):
-        if match[v] == -1:
+        # From an isolated root the forest never grows, so skip it.
+        if match[v] == -1 and g.neighbor_mask(v):
             _augment_from(g, v, match)
     edges = sorted((v, match[v]) for v in range(n) if match[v] > v)
     return Matching(tuple(edges))

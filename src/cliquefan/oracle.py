@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .generators import FanShape, fan_graph
-from .graphs import Graph
+from .graphs import Graph, bits
 
 ENUMERATION_CEILING = 7
 
@@ -121,36 +121,38 @@ def naive_contains(g: Graph, pattern: Graph) -> bool:
     return rec(0, 0)
 
 
-@lru_cache(maxsize=16)
-def _perm_array(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.int64)
+def _pair_index(n: int, lo: int, hi: int) -> int:
+    return lo * (2 * n - lo - 1) // 2 + hi - lo - 1
 
 
 @lru_cache(maxsize=16)
-def _pair_weights(n: int) -> np.ndarray:
-    return (np.uint64(1) << np.arange(pair_count(n), dtype=np.uint64)).astype(np.uint64)
+def _pair_images(n: int) -> np.ndarray:
+    """Entry (p, i) is the code bit that pair i moves to under the p-th
+    permutation of ``range(n)``; uint8 indices keep the build small."""
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    bit = np.zeros((n, n), dtype=np.uint64)
+    for i, (u, v) in enumerate(_pairs(n)):
+        bit[u, v] = bit[v, u] = 1 << i
+    lo, hi = np.array(_pairs(n), dtype=np.uint8).reshape(-1, 2).T
+    return bit[perms[:, lo], perms[:, hi]]
+
+
+def _relabelings(table: np.ndarray, pair_ids: list[int]) -> np.ndarray:
+    # Distinct pairs move to distinct bits, so XOR assembles each code.
+    return np.bitwise_xor.reduce(table[:, pair_ids], axis=1)
 
 
 def canonical_code(g: Graph) -> int:
     """Minimum edge code over all vertex relabelings.
 
-    At oracle scale a full vectorized permutation sweep is cheaper and
-    simpler than partition refinement, and it is exact by construction.
+    Every relabeled code is read off the cached pair-image table in one
+    vectorized pass over all n! permutations; exact by construction.
     """
     n = g.n
     if n > 8:
         raise ValueError("canonical codes are only supported up to 8 vertices")
-    if n < 2:
-        return 0
-    a = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = True
-    perms = _perm_array(n)
-    permuted = a[perms[:, :, None], perms[:, None, :]]
-    iu = np.triu_indices(n, 1)
-    bits_mat = permuted[:, iu[0], iu[1]].astype(np.uint64)
-    codes = bits_mat @ _pair_weights(n)
-    return int(codes.min())
+    pair_ids = [_pair_index(n, u, v) for u, v in g.edges()]
+    return int(_relabelings(_pair_images(n), pair_ids).min())
 
 
 @lru_cache(maxsize=16)
@@ -158,33 +160,26 @@ def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
     """Canonical codes of all isomorphism classes on ``n`` vertices.
 
     Built by vertex augmentation: every class on n vertices arises from
-    some class on n-1 vertices by attaching one vertex, so extending each
-    smaller representative by every neighborhood subset and keeping the
-    canonical codes covers everything.
+    some class on n-1 vertices by attaching one vertex. Each smaller
+    representative is re-encoded on n vertices and relabeled once; its
+    2^(n-1) neighbourhoods of the new vertex are then walked in Gray-code
+    order, so each step XORs one pair-image column into all n! codes
+    before taking their minimum.
     """
     if n > 8:
         raise ValueError("class enumeration is only supported up to 8 vertices")
     if n <= 1:
         return (0,)
-    smaller = nonisomorphic_graph_codes(n - 1)
+    table = _pair_images(n)
+    shifted = [_pair_index(n, u, v) for u, v in _pairs(n - 1)]
+    attach = [table[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
     seen: set[int] = set()
-    low_pairs = pair_count(n - 1)
-    for code in smaller:
-        base_edges = []
-        pairs = _pairs(n - 1)
-        m = code
-        while m:
-            low = m & -m
-            base_edges.append(pairs[low.bit_length() - 1])
-            m ^= low
-        for nb in range(1 << (n - 1)):
-            edges = list(base_edges)
-            mm = nb
-            while mm:
-                low = mm & -mm
-                edges.append((low.bit_length() - 1, n - 1))
-                mm ^= low
-            seen.add(canonical_code(Graph(n, edges)))
+    for code in nonisomorphic_graph_codes(n - 1):
+        codes = _relabelings(table, [shifted[i] for i in bits(code)])
+        seen.add(int(codes.min()))
+        for step in range(1, 1 << (n - 1)):
+            codes ^= attach[(step & -step).bit_length() - 1]
+            seen.add(int(codes.min()))
     return tuple(sorted(seen))
 
 

@@ -159,6 +159,22 @@ class TestCommands:
         g = rt_lower_construction(10, 2, "c5")
         assert int(first[2]) == g.size
 
+    def test_table_budget_lifts_the_ceiling(self, capsys):
+        # Above order 64 the exact alpha search needs an explicit budget.
+        assert run_cli("table", "--n", "70", "--r", "2") == 64
+        assert "budget" in capsys.readouterr().err
+        assert run_cli("table", "--n", "70", "--r", "2", "--budget", "5000000") == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+        # Two parts of 35 vertices, each seven disjoint pentagons of alpha 2.
+        assert row[0] == "70" and int(row[4]) == 7 * 2
+
+    def test_find_fan_eps_above_peel_bound(self, tmp_path, capsys):
+        gpath = write_graph_file(tmp_path, turan_graph(25, 5))
+        assert run_cli("find-fan", gpath, "--k", "2", "--r", "2", "--eps", "0.6") == 64
+        assert "(r - 1)/r = 0.5" in capsys.readouterr().err
+        assert run_cli("find-fan", gpath, "--k", "2", "--r", "3", "--eps", "0.7") == 64
+        assert "(r - 1)/r = 0.666667" in capsys.readouterr().err
+
     def test_usage_errors_exit_64(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli("no-such-command")

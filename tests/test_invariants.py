@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from cliquefan.generators import gnp_random
-from cliquefan.graphs import is_independent
+from cliquefan.graphs import Graph, is_independent
 from cliquefan.invariants import (
     BudgetExceeded,
     Matching,
@@ -41,6 +43,17 @@ class TestMaxMatching:
             n = 6 + seed % 3
             g = gnp_random(n, (0.2, 0.5, 0.8)[seed % 3], 7000 + seed)
             assert len(max_matching(g)) == brute_nu(g), f"seed={seed}"
+
+    def test_isolated_vertices_match_brute_force(self):
+        for seed in range(120):
+            core = gnp_random(6 + seed % 3, (0.3, 0.6)[seed % 2], 7500 + seed)
+            # Spread core vertices over a larger order, leaving the rest isolated.
+            n = core.n + 1 + seed % 4
+            place = sorted(random.Random(seed).sample(range(n), core.n))
+            g = Graph(n, [(place[u], place[v]) for u, v in core.edges()])
+            mm = max_matching(g)
+            assert len(mm) == brute_nu(g), f"seed={seed}"
+            assert set(mm.covered()) <= set(place)
 
     def test_output_is_a_matching(self):
         for seed in range(50):
