@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success (or fan found), 1 verification reject, 2 search
-returned a hypothesis violation, 64 usage error, 65 malformed input
-file, 70 internal invariant failure.
+returned a hypothesis violation, 64 usage error (an exhausted ``--budget``
+included), 65 malformed input file (not ASCII, bad fields or values),
+70 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from .finder import (
     DensityParams,
     HypothesisViolation,
     SearchInvariantError,
+    check_violation,
     find_odd_fan,
     peel_dense_subgraph,
     replay_certificate,
 )
 from .generators import FanShape
 from .graphs import Graph
-from .witness import verify_fan
+from .witness import FanEmbedding, verify_fan
 
 EX_OK = 0
 EX_REJECT = 1
@@ -174,16 +176,21 @@ def _cmd_verify(args) -> int:
     if not replay_certificate(g, cert):
         print("reject: replay diverges from the certificate", file=sys.stderr)
         return EX_REJECT
-    outcome = cert.outcome
-    if outcome.get("type") == "embedding":
-        from .witness import FanEmbedding
-
-        emb = FanEmbedding(outcome["center"], tuple(tuple(b) for b in outcome["blades"]))
-        shape = FanShape(int(cert.input["k"]), 2 * int(cert.input["r"]) + 1)
-        reason = verify_fan(g, emb, shape)
-        if reason is not None:
-            print(f"reject: {reason}", file=sys.stderr)
-            return EX_REJECT
+    # Replay only reproduces the search; the outcome must also pass the
+    # checker that shares no code with it.
+    out = cert.outcome
+    if out["type"] == "embedding":
+        emb = FanEmbedding(out["center"], tuple(tuple(b) for b in out["blades"]))
+        reason = verify_fan(g, emb, FanShape(cert.input["k"], 2 * cert.input["r"] + 1))
+    else:
+        within = None if out["within"] is None else tuple(out["within"])
+        viol = HypothesisViolation(
+            out["kind"], tuple(out["vertices"]), out["observed"], out["threshold"], within
+        )
+        reason = None if check_violation(g, viol) else f"{out['kind']} witness fails its check"
+    if reason is not None:
+        print(f"reject: {reason}", file=sys.stderr)
+        return EX_REJECT
     print("accept", file=sys.stderr)
     return EX_OK
 
@@ -268,12 +275,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except graphio.GraphFormatError as exc:
+    except (graphio.GraphFormatError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    except invariants.BudgetExceeded as exc:
+        print(f"error: {exc}; raise --budget for the exact value", file=sys.stderr)
+        return EX_USAGE
     except SearchInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL

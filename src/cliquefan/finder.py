@@ -15,7 +15,7 @@ kind resolve to smallest ids, making every run reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from typing import Any
 
@@ -27,6 +27,7 @@ from .graphs import (
     is_clique,
     is_independent,
     mask_from,
+    vertex_set,
 )
 from .invariants import greedy_independent_from_matching, max_matching
 from .witness import (
@@ -168,9 +169,7 @@ def peel_dense_subgraph(g: Graph, params: DensityParams):
 def _resolve_restriction(g: Graph, within) -> tuple[int, tuple[int, ...] | None]:
     if within is None:
         return (1 << g.n) - 1, None
-    vs = tuple(sorted(set(within)))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError("restriction contains out-of-range vertices")
+    vs = vertex_set(g, within)
     return mask_from(vs), vs
 
 
@@ -418,19 +417,8 @@ class SearchCertificate:
 
 
 def _threshold_dict(th: ThresholdRecord) -> dict[str, Any]:
-    return {
-        "delta": th.delta,
-        "edge_threshold": th.edge_threshold,
-        "degree_coef": th.degree_coef,
-        "rotation_delta": th.rotation_delta,
-        "deletion_bound": th.deletion_bound,
-        "alpha_bound": th.alpha_bound,
-        "alpha_bound_alt": th.alpha_bound_alt,
-        "peel_beta": th.peel_beta,
-        "peel_eps": th.peel_eps,
-        "peel_c": th.peel_c,
-        "peel_degree_coef": th.peel_degree_coef,
-    }
+    """The derived constants in field order, without the inputs n, k, r, eps."""
+    return {f.name: getattr(th, f.name) for f in fields(th)[4:]}
 
 
 def _violation_dict(v: HypothesisViolation) -> dict[str, Any]:

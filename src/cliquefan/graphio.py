@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, TextIO
 
-from .finder import SearchCertificate
+from .finder import SearchCertificate, search_thresholds
 from .graphs import Graph
 
 
@@ -102,18 +102,24 @@ def certificate_from_json(text: str) -> SearchCertificate:
         raise GraphFormatError(f"bad certificate JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "cliquefan-certificate-v1":
         raise GraphFormatError("not a cliquefan certificate")
+    for key, kind in (("input", dict), ("thresholds", dict), ("steps", list), ("outcome", dict)):
+        if not isinstance(payload.get(key), kind):
+            raise GraphFormatError(f"certificate field {key!r} missing or not a {kind.__name__}")
+    inp, outcome, steps = dict(payload["input"]), dict(payload["outcome"]), payload["steps"]
     try:
-        inp = dict(payload["input"])
         inp["eps"] = _decode_number(inp["eps"])
         thresholds = {k: _decode_number(v) for k, v in payload["thresholds"].items()}
-        outcome = dict(payload["outcome"])
-        if "threshold" in outcome:
-            outcome["threshold"] = _decode_number(outcome["threshold"])
-        if "observed" in outcome:
-            outcome["observed"] = _decode_number(outcome["observed"])
-        steps = list(payload["steps"])
-    except (KeyError, TypeError) as exc:
+        for key in ("threshold", "observed"):
+            if key in outcome:
+                outcome[key] = _decode_number(outcome[key])
+        if type(inp["k"]) is not int or type(inp["r"]) is not int:
+            raise TypeError("k and r must be integers")
+        # The search's own parameter checks decide what a certificate may carry.
+        search_thresholds(inp["n"], inp["k"], inp["r"], inp["eps"])
+    except KeyError as exc:
         raise GraphFormatError(f"certificate missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"bad certificate value: {exc}") from exc
     return SearchCertificate(input=inp, thresholds=thresholds, steps=steps, outcome=outcome)
 
 

@@ -3,11 +3,14 @@
 Vertices are always ``0..n-1``; external labels stop at the I/O layer.
 Adjacency is kept as one Python int bitmask per vertex, so neighborhood
 intersection and membership tests cost O(n/word) regardless of density.
+Induced subgraphs are cut out of those masks by one numpy bit extract.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 def mask_from(vertices: Iterable[int]) -> int:
@@ -130,20 +133,25 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     """Induced subgraph plus the old-id to new-id bijection onto [0, |s|).
 
     The mapping is order preserving: the smallest retained id becomes 0.
+    Each retained row is shifted down to the window ``[min s, max s]``
+    and serialised; one numpy pass unpacks the rows into a 0/1 matrix,
+    keeps the subset's columns and packs them back into bitmasks.
     """
     vs = vertex_set(g, vertices)
     mapping = {v: i for i, v in enumerate(vs)}
-    masks = [0] * len(vs)
-    size = 0
-    for i, v in enumerate(vs):
-        row = g.neighbor_mask(v)
-        m = 0
-        for j, u in enumerate(vs):
-            if (row >> u) & 1:
-                m |= 1 << j
-        masks[i] = m
-        size += m.bit_count()
-    return Graph._from_masks(len(vs), masks, size // 2), mapping
+    if not vs:
+        return Graph._from_masks(0, (), 0), mapping
+    lo = vs[0]
+    width = (vs[-1] - lo) // 8 + 1
+    window = (1 << 8 * width) - 1
+    adj = g._adj
+    raw = b"".join(((adj[v] >> lo) & window).to_bytes(width, "little") for v in vs)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(vs), width)
+    sub = np.unpackbits(rows, axis=1, bitorder="little")[:, np.array(vs) - lo]
+    data = np.packbits(sub, axis=1, bitorder="little").tobytes()
+    step = len(data) // len(vs)
+    masks = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    return Graph._from_masks(len(vs), masks, int(np.count_nonzero(sub)) // 2), mapping
 
 
 def min_degree(g: Graph) -> tuple[int, int]:

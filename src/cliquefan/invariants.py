@@ -59,14 +59,15 @@ def max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching, exact via blossom contraction."""
     n = g.n
     match = [-1] * n
-    # Greedy warm start keeps the augmenting phase short.
+    # Greedy warm start keeps the augmenting phase short: each exposed
+    # vertex takes its smallest exposed neighbour.
+    adj, free = g._adj, (1 << n) - 1
     for v in range(n):
-        if match[v] == -1:
-            for u in g.neighbors(v):
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+        m = adj[v] & free
+        if m and (free >> v) & 1:
+            u = (m & -m).bit_length() - 1
+            match[v], match[u] = u, v
+            free ^= (1 << v) | (1 << u)
     for v in range(n):
         # From an isolated root the forest never grows, so skip it.
         if match[v] == -1 and g.neighbor_mask(v):

@@ -192,6 +192,57 @@ class TestCommands:
         assert run_cli("alpha", str(bad)) == 65
         assert run_cli("alpha", str(tmp_path / "missing.txt")) == 65
 
+    def test_verify_runs_the_violation_checker(self, tmp_path, capsys):
+        # The search emits an empty large-independent-set witness here; replay
+        # reproduces it, so only the independent checker can reject it.
+        gpath = write_graph_file(tmp_path, gnp_random(19, 0.95, 9_000_071))
+        cpath = str(tmp_path / "cert.json")
+        assert run_cli("find-fan", gpath, "--k", "3", "--r", "3", "--eps", "0.3",
+                       "--cert", cpath) == 2
+        capsys.readouterr()
+        assert run_cli("verify", gpath, cpath) == 1
+        assert "reject: large-independent-set witness fails its check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [
+            (None, "thresholds", None),
+            (None, "input", [1, 2]),
+            (None, "steps", {}),
+            (None, "outcome", None),
+            ("input", "k", 0),
+            ("input", "k", "x"),
+            ("input", "r", 1.0),
+            ("input", "eps", "nan"),
+            ("input", "eps", "abc"),
+            ("thresholds", "delta", "abc"),
+        ],
+    )
+    def test_malformed_certificate_exits_65(self, tmp_path, capsys, field, key, value):
+        gpath = write_graph_file(tmp_path, turan_graph(25, 5))
+        cpath = tmp_path / "cert.json"
+        assert run_cli("find-fan", gpath, "--k", "2", "--r", "2", "--eps", "0.2",
+                       "--cert", str(cpath)) == 0
+        payload = json.loads(cpath.read_text())
+        (payload if field is None else payload[field])[key] = value
+        cpath.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("verify", gpath, str(cpath)) == 65
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_ascii_graph_file_exits_65(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("p 2 1\ne 0 1 # caf\u00e9\n".encode("utf-8"))
+        assert run_cli("alpha", str(bad)) == 65
+        assert "ascii" in capsys.readouterr().err
+
+    def test_exhausted_budget_exits_64(self, tmp_path, capsys):
+        gpath = write_graph_file(tmp_path, gnp_random(40, 0.5, 1))
+        assert run_cli("alpha", gpath, "--budget", "1") == 64
+        err = capsys.readouterr().err
+        assert "best independent set so far has size" in err
+        assert "raise --budget" in err
+
     def test_internal_invariant_failure_exits_70(self, tmp_path, monkeypatch):
         from cliquefan import cli as cli_module
         from cliquefan.finder import SearchInvariantError

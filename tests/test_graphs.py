@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cliquefan.generators import gnp_random, rt_lower_construction
@@ -8,6 +10,7 @@ from cliquefan.graphs import (
     is_clique,
     is_independent,
     min_degree,
+    vertex_set,
 )
 from util import complete, cycle, petersen, star
 
@@ -61,6 +64,67 @@ class TestInducedSubgraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(complete(3), [0, 5])
+
+
+def loop_induced_subgraph(g, vertices):
+    """The pairwise double loop the bit extract replaced, kept as reference."""
+    vs = vertex_set(g, vertices)
+    masks, size = [], 0
+    for v in vs:
+        row, m = g.neighbor_mask(v), 0
+        for j, u in enumerate(vs):
+            if (row >> u) & 1:
+                m |= 1 << j
+        masks.append(m)
+        size += m.bit_count()
+    return tuple(masks), size // 2, {v: i for i, v in enumerate(vs)}
+
+
+class TestInducedSubgraphKernel:
+    """The bit extract agrees with the double loop on masks, size and mapping."""
+
+    @staticmethod
+    def assert_same(g, vertices):
+        sub, mapping = induced_subgraph(g, vertices)
+        masks, size, want = loop_induced_subgraph(g, vertices)
+        assert (sub._adj, sub.size, mapping) == (masks, size, want), sorted(set(vertices))
+        assert sub.n == len(want)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200, 1000])
+    def test_random_subsets(self, n):
+        rng = random.Random(n)
+        for trial, p in enumerate((0.1, 0.5, 0.9)):
+            g = gnp_random(n, p, 31_000 + 10 * n + trial)
+            for _ in range(6 if n < 1000 else 2):
+                self.assert_same(g, rng.sample(range(n), rng.randint(0, n)))
+            self.assert_same(g, range(n))
+
+    def test_unsorted_and_duplicated_input(self):
+        g = gnp_random(40, 0.5, 31_500)
+        self.assert_same(g, [33, 2, 17, 2, 39, 9, 33, 10])
+        assert induced_subgraph(g, [5, 3, 3, 9]) == induced_subgraph(g, [3, 5, 9])
+
+    def test_empty_set_and_singletons(self):
+        g = gnp_random(20, 0.6, 31_501)
+        self.assert_same(g, [])
+        assert induced_subgraph(g, [])[0] == Graph(0)
+        for v in range(g.n):
+            self.assert_same(g, [v])
+
+    def test_last_vertex_with_ragged_byte(self):
+        for n in (13, 66, 203):
+            assert n % 8 != 0
+            g = gnp_random(n, 0.7, 31_600 + n)
+            self.assert_same(g, [n - 1])
+            self.assert_same(g, [0, n - 2, n - 1])
+            self.assert_same(g, range(n // 2, n))
+
+    def test_window_starting_inside_a_byte(self):
+        g = gnp_random(90, 0.5, 31_700)
+        for lo in (3, 13, 61):
+            assert lo % 8 != 0
+            self.assert_same(g, range(lo, lo + 20))
+            self.assert_same(g, [lo, lo + 1, 89])
 
 
 class TestMinDegree:

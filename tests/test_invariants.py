@@ -55,6 +55,12 @@ class TestMaxMatching:
             assert len(mm) == brute_nu(g), f"seed={seed}"
             assert set(mm.covered()) <= set(place)
 
+    def test_dense_graphs_match_brute_force(self):
+        # Dense neighbourhoods lean hardest on the greedy warm start.
+        for seed in range(150):
+            g = gnp_random(7 + seed % 4, (0.7, 0.85, 0.95)[seed % 3], 7700 + seed)
+            assert len(max_matching(g)) == brute_nu(g), f"seed={seed}"
+
     def test_output_is_a_matching(self):
         for seed in range(50):
             g = gnp_random(12, 0.5, 500 + seed)
