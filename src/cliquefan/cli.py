@@ -2,14 +2,16 @@
 
 Exit codes: 0 success (or fan found), 1 verification reject, 2 search
 returned a hypothesis violation, 64 usage error (an exhausted ``--budget``
-included), 65 malformed input file (not ASCII, bad fields or values),
-70 internal invariant failure.
+or an unwritable output path included), 65 malformed or unreadable input
+file (not ASCII, bad fields or values), 70 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+
 from . import generators, graphio, invariants, oracle
 from .finder import (
     DensityParams,
@@ -113,22 +115,17 @@ def _build_parser() -> _Parser:
 
 def _open_out(path: str | None):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        # An unwritable output path is a usage error, not bad input.
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load_graph(path: str) -> Graph:
     with open(path, encoding="ascii") as fh:
         return graphio.read_graph(fh)
-
-
-def _emit_graph(g: Graph, out_path: str | None) -> None:
-    out, close = _open_out(out_path)
-    try:
-        graphio.write_graph(g, out)
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_generate(args) -> int:
@@ -145,19 +142,16 @@ def _cmd_generate(args) -> int:
         g = generators.rt_lower_construction(args.n, args.r, args.parts)
     else:
         g = generators.gnp_random(args.n, args.p, args.seed)
-    _emit_graph(g, args.out)
+    with _open_out(args.out) as out:
+        graphio.write_graph(g, out)
     return EX_OK
 
 
 def _cmd_find_fan(args) -> int:
     g = _load_graph(args.graph)
     outcome, cert = find_odd_fan(g, args.k, args.r, args.eps)
-    text = graphio.certificate_to_json(cert)
-    if args.cert is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.cert, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with _open_out(args.cert) as out:
+        out.write(graphio.certificate_to_json(cert))
     if isinstance(outcome, HypothesisViolation):
         print(
             f"violation: {outcome.kind} (observed {outcome.observed}, "
@@ -248,12 +242,8 @@ def _cmd_table(args) -> int:
         bound = (1.0 - 1.0 / args.r) * n * n / 2.0
         alpha = len(invariants.max_independent_set(g, budget=args.budget))
         rows.append([n, args.r, g.size, repr(bound), alpha])
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         graphio.write_tsv(["n", "r", "edges", "bound", "alpha"], rows, out)
-    finally:
-        if close:
-            out.close()
     return EX_OK
 
 
@@ -275,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (graphio.GraphFormatError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (graphio.GraphFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except invariants.BudgetExceeded as exc:

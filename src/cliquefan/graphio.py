@@ -26,10 +26,9 @@ def write_graph(g: Graph, out: TextIO) -> None:
         out.write(f"e {u} {v}\n")
 
 
-def read_graph(src: TextIO) -> Graph:
+def _records(src: TextIO):
+    """Yield the header's (n, m), then each edge (u, v), as lines are read."""
     n = None
-    declared = 0
-    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(src, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,6 +45,7 @@ def read_graph(src: TextIO) -> Graph:
                 raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
             if n < 0 or declared < 0:
                 raise GraphFormatError(f"line {lineno}: negative header numbers")
+            yield n, declared
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")
@@ -57,17 +57,27 @@ def read_graph(src: TextIO) -> Graph:
                 raise GraphFormatError(f"line {lineno}: bad edge endpoints") from exc
             if not u < v:
                 raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            edges.append((u, v))
+            yield u, v
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing 'p' header")
-    if len(edges) != declared:
-        raise GraphFormatError(f"header declares {declared} edges, found {len(edges)}")
+
+
+def read_graph(src: TextIO) -> Graph:
+    """Parse a graph file; edges go to the ``Graph`` as they are read."""
+    records = _records(src)
+    n, declared = next(records)
     try:
-        return Graph(n, edges)
+        g = Graph(n, records)
+    except GraphFormatError:
+        raise
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
+    # Every edge read was added or raised, so the size is the count read.
+    if g.size != declared:
+        raise GraphFormatError(f"header declares {declared} edges, found {g.size}")
+    return g
 
 
 def _encode_floats(value: Any) -> Any:

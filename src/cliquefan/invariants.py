@@ -2,9 +2,10 @@
 
 Both solvers are exact and deterministic: ties are broken by smallest
 vertex id everywhere, so a fixed graph always yields the same witness.
-The independence solver is branch and bound with a greedy clique-cover
-upper bound; the matching solver is a full augmenting-path search with
-blossom contraction, so odd cycles are handled correctly.
+The independence solver splits the graph into components and co-components,
+then runs branch and bound with a greedy clique-cover upper bound on each
+part that splits neither way; the matching solver is a full augmenting-path
+search with blossom contraction, so odd cycles are handled correctly.
 """
 
 from __future__ import annotations
@@ -143,11 +144,13 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
 def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
     """Maximum independent set, exact, deterministic for a fixed graph.
 
-    Branch and bound over bitmasks. The upper bound is a greedy clique
-    cover of the open candidate set (each clique contributes at most one
-    vertex). Raises :class:`BudgetExceeded` when the expansion budget is
-    exhausted; without an explicit budget the graph order must stay at
-    or below :data:`EXACT_SOLVE_CEILING`.
+    Alpha of a disjoint union is the sum over its components, and alpha of
+    a join the maximum over its co-components (ties to the smallest id).
+    Each part that splits neither way gets branch and bound over bitmasks
+    with a greedy clique-cover bound, all parts sharing one expansion
+    budget; a connected, co-connected graph keeps the unsplit witness.
+    Raises :class:`BudgetExceeded` when the budget runs out; without an
+    explicit budget the order must not exceed :data:`EXACT_SOLVE_CEILING`.
     """
     if budget is None:
         if g.n > EXACT_SOLVE_CEILING:
@@ -156,21 +159,33 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
                 "pass an explicit budget to force the search"
             )
         budget = DEFAULT_BUDGET
-    n = g.n
-    if n == 0:
-        return IndependentSet(())
     adj = g._adj
-    full = (1 << n) - 1
+    full = (1 << g.n) - 1
 
-    # Greedy seed by ascending id for the initial lower bound.
-    best_mask = 0
-    m = full
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        best_mask |= low
-        m &= ~(adj[v] | low)
-    best_size = best_mask.bit_count()
+    def greedy(mask: int, chosen: int = 0) -> int:
+        # Extend ``chosen`` by ascending id to a maximal independent set in ``mask``.
+        for v in bits(chosen):
+            mask &= ~adj[v]
+        while mask:
+            low = mask & -mask
+            chosen |= low
+            mask &= ~(adj[low.bit_length() - 1] | low)
+        return chosen
+
+    def components(mask: int, flip: int) -> list[int]:
+        # Components of G[mask], or of its complement if flip = -1, by least id.
+        found = []
+        while mask:
+            comp = frontier = mask & -mask
+            rest = mask ^ comp
+            while frontier:
+                low = frontier & -frontier
+                new = rest & (adj[low.bit_length() - 1] ^ flip)
+                rest ^= new
+                frontier ^= low | new
+            found.append(mask ^ rest)
+            mask = rest
+        return found
 
     def cover_bound(mask: int) -> int:
         covers: list[int] = []
@@ -190,34 +205,60 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
 
     expansions = 0
 
-    def rec(mask: int, size: int, chosen: int) -> None:
-        nonlocal expansions, best_mask, best_size
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExceeded(IndependentSet(tuple(bits(best_mask))))
-        if mask == 0:
-            if size > best_size:
-                best_size = size
-                best_mask = chosen
-            return
-        if size + cover_bound(mask) <= best_size:
-            return
-        # Branch on the candidate of maximum residual degree, smallest id first.
-        pick, pick_deg = -1, -1
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (adj[v] & mask).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        bit = 1 << pick
-        rec(mask & ~(adj[pick] | bit), size + 1, chosen | bit)
-        rec(mask & ~bit, size, chosen)
+    def leaf(start: int) -> int:
+        best_mask = greedy(start)
+        best_size = best_mask.bit_count()
 
-    rec(full, 0, 0)
-    return IndependentSet(tuple(bits(best_mask)))
+        def rec(mask: int, size: int, chosen: int) -> None:
+            nonlocal expansions, best_mask, best_size
+            expansions += 1
+            if expansions > budget:
+                raise BudgetExceeded(IndependentSet(tuple(bits(greedy(full, best_mask)))))
+            if mask == 0:
+                if size > best_size:
+                    best_size = size
+                    best_mask = chosen
+                return
+            if size + cover_bound(mask) <= best_size:
+                return
+            # Branch on the candidate of maximum residual degree, smallest id first.
+            pick, pick_deg = -1, -1
+            m = mask
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                d = (adj[v] & mask).bit_count()
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+            bit = 1 << pick
+            rec(mask & ~(adj[pick] | bit), size + 1, chosen | bit)
+            rec(mask & ~bit, size, chosen)
+
+        rec(start, 0, 0)
+        return best_mask
+
+    # Post-order walk of the split tree on explicit stacks, since a cograph
+    # (a threshold graph, say) nests as deep as its order.
+    todo: list = [full]
+    found: list[int] = []
+    while todo:
+        mask = todo.pop()
+        if isinstance(mask, tuple):
+            union, k = mask
+            parts, found[-k:] = found[-k:], []
+            # Parts of a union are disjoint, so their sum is their union.
+            found.append(sum(parts) if union else max(parts, key=int.bit_count))
+            continue
+        union, parts = True, components(mask, 0)
+        if len(parts) == 1:
+            union, parts = False, components(mask, -1)
+        if len(parts) > 1:
+            todo.append((union, len(parts)))
+            todo.extend(reversed(parts))
+        else:
+            found.append(leaf(mask))
+    return IndependentSet(tuple(bits(found[0])))
 
 
 def greedy_independent_from_matching(g: Graph, m: Matching) -> IndependentSet:

@@ -216,7 +216,8 @@ def exact_ex(
         return _random_maximal(n, pattern, seed, restarts)
     best_count, best_code = -1, 0
     for code in _scan_codes(n, iso_filter):
-        count = code.bit_count() if isinstance(code, int) else int(code).bit_count()
+        code = int(code)
+        count = code.bit_count()
         if count <= best_count:
             continue
         g = graph_from_code(n, code)

@@ -192,6 +192,44 @@ class TestCommands:
         assert run_cli("alpha", str(bad)) == 65
         assert run_cli("alpha", str(tmp_path / "missing.txt")) == 65
 
+    def test_streamed_file_errors_exit_65(self, tmp_path, capsys):
+        # Edges reach the Graph as they are read; the count is checked after.
+        lines = [f"e {u} {v}" for u, v in turan_graph(30, 3).edges()]
+        miscount = tmp_path / "miscount.txt"
+        miscount.write_text("\n".join([f"p 30 {len(lines) + 1}"] + lines) + "\n")
+        assert run_cli("alpha", str(miscount), "--budget", "1000") == 65
+        assert f"header declares {len(lines) + 1} edges, found {len(lines)}" in capsys.readouterr().err
+        duplicate = tmp_path / "duplicate.txt"
+        duplicate.write_text("\n".join([f"p 30 {len(lines) + 1}"] + lines + [lines[7]]) + "\n")
+        assert run_cli("alpha", str(duplicate)) == 65
+        assert "duplicate edge" in capsys.readouterr().err
+
+    def test_directory_input_exits_65(self, tmp_path, capsys):
+        assert run_cli("alpha", str(tmp_path)) == 65
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_input_exits_65(self, tmp_path, monkeypatch, capsys):
+        gpath = write_graph_file(tmp_path, petersen())
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert run_cli("alpha", gpath) == 65
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.txt"
+        assert run_cli("generate", "turan", "6", "3", "--out", str(out)) == 64
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_table_at_n_300(self, capsys):
+        assert run_cli("table", "--n", "300", "--r", "3", "--parts", "c5",
+                       "--budget", "100000") == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+        # Three parts of 100 vertices, each 20 disjoint pentagons of alpha 2.
+        assert row[0] == "300" and int(row[4]) == 20 * 2
+
     def test_verify_runs_the_violation_checker(self, tmp_path, capsys):
         # The search emits an empty large-independent-set witness here; replay
         # reproduces it, so only the independent checker can reject it.

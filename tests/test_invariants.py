@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cliquefan.generators import gnp_random
-from cliquefan.graphs import Graph, is_independent
+from cliquefan.generators import gnp_random, rt_lower_construction
+from cliquefan.graphs import Graph, bits, is_independent
 from cliquefan.invariants import (
     BudgetExceeded,
     Matching,
@@ -116,6 +116,137 @@ class TestMaxIndependentSet:
     def test_deterministic(self):
         g = gnp_random(25, 0.3, 11)
         assert max_independent_set(g) == max_independent_set(g)
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+def join(a: Graph, b: Graph) -> Graph:
+    across = [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    return Graph(a.n + b.n, list(disjoint_union(a, b).edges()) + across)
+
+
+def relabel(g: Graph, seed: int) -> Graph:
+    # Spread each block over scattered ids so no part is a contiguous range.
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()])
+
+
+def connected(g: Graph) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == g.n
+
+
+def unsplit_search(g: Graph) -> tuple[int, ...]:
+    """The branch and bound run on the whole graph, without any split."""
+    adj, n = g._adj, g.n
+    best_mask, m = 0, (1 << n) - 1
+    while m:
+        low = m & -m
+        best_mask |= low
+        m &= ~(adj[low.bit_length() - 1] | low)
+    best = [best_mask, best_mask.bit_count()]
+
+    def cover_bound(mask):
+        covers = []
+        for v in bits(mask):
+            for i, cm in enumerate(covers):
+                if cm & ~adj[v] == 0:
+                    covers[i] = cm | (1 << v)
+                    break
+            else:
+                covers.append(1 << v)
+        return len(covers)
+
+    def rec(mask, size, chosen):
+        if mask == 0:
+            if size > best[1]:
+                best[:] = [chosen, size]
+            return
+        if size + cover_bound(mask) <= best[1]:
+            return
+        pick = max(bits(mask), key=lambda v: ((adj[v] & mask).bit_count(), -v))
+        bit = 1 << pick
+        rec(mask & ~(adj[pick] | bit), size + 1, chosen | bit)
+        rec(mask & ~bit, size, chosen)
+
+    rec((1 << n) - 1, 0, 0)
+    return tuple(bits(best[0]))
+
+
+class TestComponentSplit:
+    def block(self, seed: int, n: int) -> Graph:
+        return gnp_random(n, (0.2, 0.5, 0.8)[seed % 3], 52_000 + seed)
+
+    def check(self, g: Graph) -> None:
+        ind = max_independent_set(g)
+        assert len(ind) == brute_alpha(g)
+        assert is_independent(g, ind.members)
+        assert max_independent_set(g) == ind
+
+    def test_disjoint_unions(self):
+        for seed in range(40):
+            g = disjoint_union(self.block(seed, 2 + seed % 5), self.block(seed + 1, 3 + seed % 7))
+            self.check(relabel(disjoint_union(g, self.block(seed + 2, 1 + seed % 3)), seed))
+
+    def test_joins(self):
+        for seed in range(40):
+            g = join(self.block(seed, 2 + seed % 6), self.block(seed + 1, 3 + seed % 7))
+            self.check(relabel(join(g, self.block(seed + 2, 1 + seed % 3)), seed))
+
+    def test_nested_join_of_union_of_join(self):
+        for seed in range(40):
+            inner = join(self.block(seed, 1 + seed % 3), self.block(seed + 1, 2 + seed % 3))
+            union = disjoint_union(inner, self.block(seed + 2, 1 + seed % 4))
+            self.check(relabel(join(union, self.block(seed + 3, 2 + seed % 5)), seed))
+
+    def test_join_ties_go_to_the_smallest_id(self):
+        # K_{2,2,2} with parts {0, 5}, {1, 4}, {2, 3}: every part has alpha 2.
+        parts = ({0, 5}, {1, 4}, {2, 3})
+        g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                      if not any({u, v} == p for p in parts)])
+        assert max_independent_set(g).members == (0, 5)
+
+    def test_unsplit_graphs_keep_the_unsplit_witness(self):
+        checked = 0
+        for seed in range(150):
+            g = gnp_random(8 + seed % 20, (0.3, 0.5, 0.7)[seed % 3], 53_000 + seed)
+            co = Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                             if not g.has_edge(u, v)])
+            if connected(g) and connected(co):
+                checked += 1
+                assert max_independent_set(g).members == unsplit_search(g), f"seed={seed}"
+        assert checked >= 50
+
+    def test_budget_runs_out_in_a_later_component(self):
+        easy = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        g = disjoint_union(easy, gnp_random(40, 0.3, 2))
+        with pytest.raises(BudgetExceeded) as info:
+            max_independent_set(g, budget=30)
+        best = info.value.best.members
+        assert is_independent(g, best)
+        # The solved edges each keep a vertex in the reported set.
+        assert len(set(best) & set(range(6))) == 3
+
+    def test_deep_cograph(self):
+        # Each odd vertex joins all earlier ones, so the split tree nests
+        # about n levels deep, beyond Python's default recursion limit.
+        n = 1100
+        g = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+        assert max_independent_set(g, budget=10_000).members == tuple(range(0, n, 2))
+
+    def test_c13_power_construction_needs_a_small_budget(self):
+        g = rt_lower_construction(156, 3, "c13-power")
+        ind = max_independent_set(g, budget=10_000)
+        assert len(ind) == 16
+        assert is_independent(g, ind.members)
 
 
 class TestMatchingIndependenceInequality:
