@@ -15,7 +15,6 @@ from .finder import (
     replay_certificate,
     rotate_clique,
     search_thresholds,
-    tuple_lex_less,
 )
 from .generators import (
     FanShape,

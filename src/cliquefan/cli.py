@@ -96,6 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--iso-filter", action="store_true")
+    p.set_defaults(alpha_cap=None)
 
     p = sub.add_parser("rt", help="extremal edge count under an independence cap")
     p.add_argument("n", type=int)
@@ -214,15 +215,7 @@ def _cmd_matching(args) -> int:
     return EX_OK
 
 
-def _cmd_ex(args) -> int:
-    value, witness = oracle.exact_ex(
-        args.n, FanShape(args.k, args.r), iso_filter=args.iso_filter
-    )
-    print(f"ex {value} witness-code {oracle.edge_code(witness)}")
-    return EX_OK
-
-
-def _cmd_rt(args) -> int:
+def _cmd_extremal(args) -> int:
     res = oracle.exact_rt(
         args.n, FanShape(args.k, args.r), args.alpha_cap, iso_filter=args.iso_filter
     )
@@ -230,7 +223,7 @@ def _cmd_rt(args) -> int:
         print("infeasible")
         return EX_OK
     value, witness = res
-    print(f"rt {value} witness-code {oracle.edge_code(witness)}")
+    print(f"{args.command} {value} witness-code {oracle.edge_code(witness)}")
     return EX_OK
 
 
@@ -254,8 +247,8 @@ _HANDLERS = {
     "peel": _cmd_peel,
     "alpha": _cmd_alpha,
     "matching": _cmd_matching,
-    "ex": _cmd_ex,
-    "rt": _cmd_rt,
+    "ex": _cmd_extremal,
+    "rt": _cmd_extremal,
     "table": _cmd_table,
 }
 

@@ -8,8 +8,9 @@ upward in lexicographic order until one center owns k blades.
 Every step validates its own hypotheses instead of assuming them, so on
 an arbitrary input the search either returns a verified embedding or a
 hypothesis violation carrying a machine-checkable witness (a low-degree
-vertex, an oversized independent set, or an edge deficit). Ties of any
-kind resolve to smallest ids, making every run reproducible.
+vertex, an oversized independent set, an edge deficit, or a clique that
+nothing in its pool extends). Ties of any kind resolve to smallest ids,
+making every run reproducible.
 """
 
 from __future__ import annotations
@@ -117,14 +118,6 @@ def check_violation(g: Graph, violation: HypothesisViolation) -> bool:
     raise ValueError(f"unknown violation kind {kind!r}")
 
 
-def tuple_lex_less(a, b) -> bool:
-    """Strict lexicographic order on equal-length count tuples."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError(f"tuple lengths differ: {len(a)} != {len(b)}")
-    return a < b
-
-
 def peel_dense_subgraph(g: Graph, params: DensityParams):
     """Iteratively drop the smallest-id vertex not strictly above the
     density threshold 2 beta (1 + eps/2) times the surviving order.
@@ -166,21 +159,43 @@ def peel_dense_subgraph(g: Graph, params: DensityParams):
     return tuple(v for v in range(n) if alive[v])
 
 
-def _resolve_restriction(g: Graph, within) -> tuple[int, tuple[int, ...] | None]:
+def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold, max_size: int):
+    """Front end shared by the clique steps.
+
+    Checks the clique, its size bound and the restriction, then the
+    degree hypothesis d(v) >= (1 - 1/r + eps/3) n on every member, n
+    being the restricted order. Returns the first failing member as a
+    low-degree violation, or else the clique as a sorted tuple, the
+    restriction mask, the clique's common neighbors inside it, and the
+    restriction as a tuple (None when unrestricted).
+    """
     if within is None:
-        return (1 << g.n) - 1, None
-    vs = vertex_set(g, within)
-    return mask_from(vs), vs
-
-
-def _checked_clique(g: Graph, clique, mask: int) -> tuple[int, ...]:
+        mask, within_t = (1 << g.n) - 1, None
+    else:
+        within_t = vertex_set(g, within)
+        mask = mask_from(within_t)
     d = tuple(sorted(set(clique)))
     if not is_clique(g, d):
         raise ValueError(f"{d} is not a clique")
     for v in d:
         if not (mask >> v) & 1:
             raise ValueError(f"clique vertex {v} lies outside the restriction")
-    return d
+    if r < 1:
+        raise ValueError("r must be positive")
+    if len(d) > max_size:
+        raise ValueError(f"clique of size {len(d)} exceeds the bound {max_size}")
+    thr = (
+        degree_threshold
+        if degree_threshold is not None
+        else (1.0 - 1.0 / r + eps / 3.0) * mask.bit_count()
+    )
+    common = mask & ~mask_from(d)
+    for v in d:
+        dv = (g.neighbor_mask(v) & mask).bit_count()
+        if dv < thr:
+            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, within_t)
+        common &= g.neighbor_mask(v)
+    return d, mask, common, within_t
 
 
 def extend_clique(
@@ -200,26 +215,10 @@ def extend_clique(
     as a clique-extension failure. ``degree_threshold`` overrides the
     derived bound for unit tests on small graphs.
     """
-    mask, within_t = _resolve_restriction(g, within)
-    d = _checked_clique(g, clique, mask)
-    if r < 1:
-        raise ValueError("r must be positive")
-    if len(d) > r:
-        raise ValueError(f"clique of size {len(d)} exceeds the bound r={r}")
-    n_eff = mask.bit_count()
-    thr = (
-        degree_threshold
-        if degree_threshold is not None
-        else (1.0 - 1.0 / r + eps / 3.0) * n_eff
-    )
-    for v in d:
-        dv = (g.neighbor_mask(v) & mask).bit_count()
-        if dv < thr:
-            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, within_t)
-    common = mask
-    for v in d:
-        common &= g.neighbor_mask(v)
-    common &= ~mask_from(d)
+    step = _clique_step(g, clique, r, eps, within, degree_threshold, r)
+    if isinstance(step, HypothesisViolation):
+        return step
+    d, _, common, within_t = step
     if common == 0:
         return HypothesisViolation("clique-extension-failure", d, 0, 1.0, within_t)
     return (common & -common).bit_length() - 1
@@ -230,46 +229,34 @@ def rotate_clique(
     clique,
     r: int,
     eps: float,
-    delta: float,
+    alpha_bound: float,
     *,
     within=None,
     degree_threshold: float | None = None,
-    ind_threshold: float | None = None,
 ):
-    """Grow a clique of at most 2r vertices by one, reusing all but at
-    most one of its vertices.
+    """Grow a clique of 1 to 2r vertices by one, reusing all but at most
+    one of its vertices.
 
-    A common neighbor settles it directly. Otherwise the vertices
-    adjacent to all but exactly one clique member are bucketed by that
-    missed member; an edge inside a bucket swaps the missed member for
-    the edge's two ends. If every bucket is an independent set, the
-    largest bucket (ties to the earliest member) witnesses that the
-    graph's independence number exceeds the declared delta bound.
+    The degree hypothesis is checked as in :func:`extend_clique`. A
+    common neighbor settles it directly. Otherwise the vertices adjacent
+    to all but exactly one clique member are bucketed by that missed
+    member; an edge inside a bucket swaps the missed member for the
+    edge's two ends. If every bucket is an independent set, the largest
+    one (ties to the earliest member) is returned as a large independent
+    set when it holds more than ``alpha_bound`` vertices. Otherwise the
+    clique is reported as a clique-extension failure within the rotation
+    pool, which it is, since no vertex there extends it.
     """
-    mask, within_t = _resolve_restriction(g, within)
-    d = _checked_clique(g, clique, mask)
-    if r < 1:
-        raise ValueError("r must be positive")
-    if not 1 <= len(d) <= 2 * r:
-        raise ValueError(f"clique size {len(d)} outside [1, {2 * r}]")
-    n_eff = mask.bit_count()
-    thr = (
-        degree_threshold
-        if degree_threshold is not None
-        else (1.0 - 1.0 / r + eps / 3.0) * n_eff
-    )
-    for v in d:
-        dv = (g.neighbor_mask(v) & mask).bit_count()
-        if dv < thr:
-            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, within_t)
-    dmask = mask_from(d)
-    common = mask & ~dmask
-    for v in d:
-        common &= g.neighbor_mask(v)
+    step = _clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
+    if isinstance(step, HypothesisViolation):
+        return step
+    d, mask, common, within_t = step
+    if not d:
+        raise ValueError("cannot rotate an empty clique")
     if common:
         v = (common & -common).bit_length() - 1
         return CliqueWitness(tuple(sorted(d + (v,))))
-    s = len(d)
+    s, dmask = len(d), mask_from(d)
     buckets: dict[int, list[int]] = {v: [] for v in d}
     for w in bits(mask & ~dmask):
         row = g.neighbor_mask(w) & dmask
@@ -289,9 +276,10 @@ def rotate_clique(
         if len(buckets[v]) > len(buckets[best]):
             best = v
     witness = tuple(buckets[best])
-    thr2 = ind_threshold if ind_threshold is not None else delta * n_eff
+    if len(witness) <= alpha_bound:
+        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, within_t)
     return HypothesisViolation(
-        "large-independent-set", witness, len(witness), thr2, None
+        "large-independent-set", witness, len(witness), alpha_bound, None
     )
 
 
@@ -445,6 +433,16 @@ def _finish_violation(cert: SearchCertificate, v: HypothesisViolation):
     return v, cert
 
 
+def _finish_embedding(g: Graph, cert: SearchCertificate, center: int, blades, k: int, r: int):
+    """Verify the fan of the center's first k blades and record it."""
+    emb = FanEmbedding(center, tuple(blades[:k]))
+    reason = verify_fan(g, emb, FanShape(k, 2 * r + 1))
+    if reason is not None:
+        raise SearchInvariantError(f"final embedding rejected: {reason}")
+    cert.outcome = _embedding_dict(emb)
+    return emb, cert
+
+
 def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     """Search for k cliques K_{2r+1} through one vertex.
 
@@ -492,11 +490,11 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
 
     base: list[int] = sorted(seed)
     blades: dict[int, list[tuple[int, ...]]] = {v: [] for v in base}
-    prev_tuple: tuple[int, ...] | None = None
+    prev_tuple: tuple[int, ...] = ()
     for _ in range(k ** (r + 1) + 1):
         order = sorted(base, key=lambda v: (-len(blades[v]), v))
         ks = tuple(len(blades[v]) for v in order)
-        if prev_tuple is not None and not tuple_lex_less(prev_tuple, ks):
+        if not prev_tuple < ks:
             raise SearchInvariantError(f"fan tuple failed to increase: {prev_tuple} -> {ks}")
         prev_tuple = ks
         current = GeneralizedFanEmbedding(
@@ -506,21 +504,13 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
         if reason is not None:
             raise SearchInvariantError(f"intermediate fan invalid: {reason}")
         if ks[0] >= k:
-            emb = FanEmbedding(order[0], tuple(blades[order[0]][:k]))
-            reason = verify_fan(g, emb, FanShape(k, 2 * r + 1))
-            if reason is not None:
-                raise SearchInvariantError(f"final embedding rejected: {reason}")
-            cert.outcome = _embedding_dict(emb)
-            return emb, cert
+            return _finish_embedding(g, cert, order[0], blades[order[0]], k, r)
 
         blade_vertices = {v for lst in blades.values() for b in lst for v in b}
         h_pool = pool - blade_vertices
         rotated: tuple[int, ...] = tuple(sorted(base))
         for _ in range(r):
-            res = rotate_clique(
-                g, rotated, r, eps, th.delta,
-                within=h_pool, ind_threshold=th.alpha_bound,
-            )
+            res = rotate_clique(g, rotated, r, eps, th.alpha_bound, within=h_pool)
             if isinstance(res, HypothesisViolation):
                 return _finish_violation(cert, res)
             cert.steps.append(
@@ -552,12 +542,7 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
         if len(blades[v_s]) >= k:
             # Done already; re-extending the base first could starve on
             # a host with no vertices to spare.
-            emb = FanEmbedding(v_s, tuple(blades[v_s][:k]))
-            reason = verify_fan(g, emb, FanShape(k, 2 * r + 1))
-            if reason is not None:
-                raise SearchInvariantError(f"final embedding rejected: {reason}")
-            cert.outcome = _embedding_dict(emb)
-            return emb, cert
+            return _finish_embedding(g, cert, v_s, blades[v_s], k, r)
 
         blade_vertices = {v for lst in blades.values() for b in lst for v in b}
         star_pool = pool - blade_vertices

@@ -183,86 +183,40 @@ def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def _scan_codes(n: int, iso_filter: bool):
-    if iso_filter:
-        return nonisomorphic_graph_codes(n)
-    return range(1 << pair_count(n))
-
-
-def exact_ex(
-    n: int,
-    shape: FanShape,
-    *,
-    iso_filter: bool = False,
-    lower_bound_only: bool = False,
-    seed: int = 0,
-    restarts: int = 50,
-) -> tuple[int, Graph]:
-    """Maximum edge count of a fan-free graph of order ``n``, with a witness.
-
-    Exhaustive up to :data:`ENUMERATION_CEILING`; the witness is the
-    smallest-edge-code graph attaining the maximum, which the class
-    filter preserves because that graph is canonical in its class. For
-    larger ``n`` pass ``lower_bound_only=True`` to get the best of
-    seeded random maximal constructions, a lower bound only.
-    """
-    if n > ENUMERATION_CEILING and not lower_bound_only:
-        raise ValueError(
-            f"order {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}; "
-            "pass lower_bound_only=True for a seeded lower bound"
-        )
-    pattern, _ = fan_graph(shape)
-    if lower_bound_only and n > ENUMERATION_CEILING:
-        return _random_maximal(n, pattern, seed, restarts)
-    best_count, best_code = -1, 0
-    for code in _scan_codes(n, iso_filter):
-        code = int(code)
-        count = code.bit_count()
-        if count <= best_count:
-            continue
-        g = graph_from_code(n, code)
-        if not naive_contains(g, pattern):
-            best_count, best_code = count, code
-    return best_count, graph_from_code(n, best_code)
-
-
-def _random_maximal(n: int, pattern: Graph, seed: int, restarts: int) -> tuple[int, Graph]:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pairs = list(_pairs(n))
-    best: Graph | None = None
-    for _ in range(restarts):
-        order = rng.permutation(len(pairs))
-        edges: list[tuple[int, int]] = []
-        for idx in order:
-            candidate = edges + [pairs[idx]]
-            if not naive_contains(Graph(n, candidate), pattern):
-                edges = candidate
-        g = Graph(n, edges)
-        if best is None or g.size > best.size:
-            best = g
-    assert best is not None
-    return best.size, best
-
-
 def exact_rt(
-    n: int, shape: FanShape, alpha_cap: int, *, iso_filter: bool = False
+    n: int, shape: FanShape, alpha_cap: int | None, *, iso_filter: bool = False
 ) -> tuple[int, Graph] | None:
-    """Like :func:`exact_ex` but restricted to graphs whose independence
-    number stays at or below ``alpha_cap``; None when no graph qualifies."""
+    """Maximum edge count of a fan-free graph of order ``n`` whose
+    independence number is at most ``alpha_cap``, with a witness; None
+    when no graph qualifies. ``alpha_cap=None`` sets no cap, which gives
+    ex(n, fan).
+
+    Exhaustive up to :data:`ENUMERATION_CEILING`, over every edge code
+    or, with ``iso_filter``, over one canonical code per isomorphism
+    class. The witness is the smallest-edge-code graph attaining the
+    maximum, which the class filter preserves because that graph is
+    canonical in its class.
+    """
     if n > ENUMERATION_CEILING:
         raise ValueError(f"order {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
     pattern, _ = fan_graph(shape)
+    codes = nonisomorphic_graph_codes(n) if iso_filter else range(1 << pair_count(n))
     best_count, best_code = -1, None
-    for code in _scan_codes(n, iso_filter):
-        code = int(code)
+    for code in codes:
         count = code.bit_count()
         if count <= best_count:
             continue
         g = graph_from_code(n, code)
-        if brute_alpha(g) > alpha_cap:
+        if alpha_cap is not None and brute_alpha(g) > alpha_cap:
             continue
         if not naive_contains(g, pattern):
             best_count, best_code = count, code
     if best_code is None:
         return None
     return best_count, graph_from_code(n, best_code)
+
+
+def exact_ex(n: int, shape: FanShape, *, iso_filter: bool = False) -> tuple[int, Graph]:
+    """ex(n, fan): :func:`exact_rt` with no independence cap. The empty
+    graph is fan-free, so a witness always exists."""
+    return exact_rt(n, shape, None, iso_filter=iso_filter)

@@ -129,9 +129,7 @@ def test_criterion_4_rotation_dichotomy():
                     break
             for size in range(1, len(clique) + 1):
                 d = tuple(sorted(clique[:size]))
-                res = rotate_clique(
-                    g, d, 2, 0.3, 0.0, degree_threshold=0.0, ind_threshold=-1.0
-                )
+                res = rotate_clique(g, d, 2, 0.3, -1.0, degree_threshold=0.0)
                 calls += 1
                 if isinstance(res, CliqueWitness):
                     assert is_clique(g, res.vertices)

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from cliquefan import cli, graphio
-from cliquefan.finder import find_odd_fan
+from cliquefan import cli, finder, graphio
+from cliquefan.finder import HypothesisViolation, find_odd_fan
 from cliquefan.generators import gnp_random, rt_lower_construction, turan_graph
 from cliquefan.graphs import Graph
 from util import complete, petersen
@@ -230,13 +230,24 @@ class TestCommands:
         # Three parts of 100 vertices, each 20 disjoint pentagons of alpha 2.
         assert row[0] == "300" and int(row[4]) == 20 * 2
 
-    def test_verify_runs_the_violation_checker(self, tmp_path, capsys):
-        # The search emits an empty large-independent-set witness here; replay
-        # reproduces it, so only the independent checker can reject it.
+    def test_verify_runs_the_violation_checker(self, tmp_path, capsys, monkeypatch):
+        # A rotation that reports an empty independent set instead of its
+        # extension failure: producing and replaying both emit the bad
+        # witness, so only the independent checker can reject it.
+        real_rotate = finder.rotate_clique
+
+        def empty_witness_rotate(g, clique, r, eps, alpha_bound, **kwargs):
+            res = real_rotate(g, clique, r, eps, alpha_bound, **kwargs)
+            if isinstance(res, HypothesisViolation) and res.kind == "clique-extension-failure":
+                return HypothesisViolation("large-independent-set", (), 0, alpha_bound)
+            return res
+
+        monkeypatch.setattr(finder, "rotate_clique", empty_witness_rotate)
         gpath = write_graph_file(tmp_path, gnp_random(19, 0.95, 9_000_071))
         cpath = str(tmp_path / "cert.json")
         assert run_cli("find-fan", gpath, "--k", "3", "--r", "3", "--eps", "0.3",
                        "--cert", cpath) == 2
+        assert json.loads((tmp_path / "cert.json").read_text())["outcome"]["vertices"] == []
         capsys.readouterr()
         assert run_cli("verify", gpath, cpath) == 1
         assert "reject: large-independent-set witness fails its check" in capsys.readouterr().err

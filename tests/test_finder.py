@@ -14,7 +14,6 @@ from cliquefan.finder import (
     replay_certificate,
     rotate_clique,
     search_thresholds,
-    tuple_lex_less,
 )
 from cliquefan.generators import (
     FanShape,
@@ -27,22 +26,6 @@ from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import graph_from_code, pair_count
 from cliquefan.witness import CliqueWitness, FanEmbedding, find_fan, verify_fan
 from util import complete, cycle, petersen, star, wheel4
-
-
-class TestTupleOrder:
-    def test_zero_tuple_is_minimum(self):
-        assert tuple_lex_less((0, 0, 0), (1, 0, 0))
-
-    def test_irreflexive(self):
-        assert not tuple_lex_less((2, 1, 0), (2, 1, 0))
-
-    def test_first_coordinate_dominates(self):
-        assert not tuple_lex_less((2, 0, 0), (1, 1, 1))
-        assert tuple_lex_less((1, 1, 1), (2, 0, 0))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tuple_lex_less((1, 2), (1, 2, 3))
 
 
 class TestDensityParams:
@@ -141,7 +124,7 @@ class TestRotateClique:
 
     def test_triangle_free_graph_yields_independent_witness(self):
         g = cycle(5)
-        res = rotate_clique(g, (0, 1), 2, 0.3, 0.0, degree_threshold=0.0, ind_threshold=0.0)
+        res = rotate_clique(g, (0, 1), 2, 0.3, 0.0, degree_threshold=0.0)
         assert isinstance(res, HypothesisViolation)
         assert res.kind == "large-independent-set"
         assert res.vertices == (2,)
@@ -160,7 +143,7 @@ class TestRotateClique:
                 d = _greedy_clique(g, size)
                 if d is None:
                     continue
-                res = rotate_clique(g, d, 2, 0.3, 0.0, degree_threshold=0.0, ind_threshold=0.0)
+                res = rotate_clique(g, d, 2, 0.3, 0.0, degree_threshold=0.0)
                 if isinstance(res, CliqueWitness):
                     assert is_clique(g, res.vertices)
                     assert len(res.vertices) == len(d) + 1
@@ -168,6 +151,14 @@ class TestRotateClique:
                 else:
                     assert res.kind == "large-independent-set"
                     assert is_independent(g, res.vertices)
+
+    def test_small_bucket_is_an_extension_failure_in_the_pool(self):
+        # Every bucket independent, the largest not above the bound: the
+        # clique has no common neighbor in the pool, which is what it says.
+        g = cycle(5)
+        res = rotate_clique(g, (0, 1), 2, 0.3, 1.0, within=range(4), degree_threshold=0.0)
+        assert res == HypothesisViolation("clique-extension-failure", (0, 1), 0, 1.0, (0, 1, 2, 3))
+        assert check_violation(g, res)
 
     def test_clique_size_bounds(self):
         with pytest.raises(ValueError):
@@ -300,7 +291,7 @@ class TestFindOddFan:
         tuples.append(tuple(cert.steps[-1]["tuple_after"])
                       if cert.steps[-1]["kind"] == "augment" else None)
         seq = [t for t in tuples if t is not None]
-        assert all(tuple_lex_less(a, b) for a, b in zip(seq, seq[1:]))
+        assert all(a < b for a, b in zip(seq, seq[1:]))
 
     def test_r1_delegates_to_triangle_scan(self):
         out, cert = find_odd_fan(wheel4(), 2, 1, 0.2)

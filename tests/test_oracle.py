@@ -122,11 +122,6 @@ class TestExactEx:
         with pytest.raises(ValueError, match="ceiling"):
             exact_ex(8, TRIANGLE)
 
-    def test_lower_bound_mode(self):
-        value, witness = exact_ex(9, TRIANGLE, lower_bound_only=True, seed=5, restarts=8)
-        assert value == witness.size <= 9 * 9 // 4
-        assert not naive_contains(witness, complete(3))
-
 
 class TestExactRt:
     def test_ramsey_r33_infeasible(self):
