@@ -5,6 +5,7 @@ complete-multipartite lower-bound construction, and seeded random graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -75,12 +76,7 @@ def fan_graph(shape: FanShape) -> tuple[Graph, int]:
     edges = []
     for j in range(k):
         blade = range(1 + j * (r - 1), 1 + (j + 1) * (r - 1))
-        for v in blade:
-            edges.append((0, v))
-        for a in blade:
-            for b in blade:
-                if a < b:
-                    edges.append((a, b))
+        edges += [(0, v) for v in blade] + list(combinations(blade, 2))
     return Graph(shape.vertex_count, edges), 0
 
 
@@ -92,21 +88,13 @@ def generalized_fan(shape: TupleShape) -> tuple[Graph, tuple[int, ...]]:
     """
     m = len(shape.ks)
     blade_size = 2 * shape.r
-    edges = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            edges.append((a, b))
+    edges = list(combinations(range(m), 2))
     nxt = m
     for center, count in enumerate(shape.ks):
         for _ in range(count):
             blade = range(nxt, nxt + blade_size)
             nxt += blade_size
-            for v in blade:
-                edges.append((center, v))
-            for a in blade:
-                for b in blade:
-                    if a < b:
-                        edges.append((a, b))
+            edges += [(center, v) for v in blade] + list(combinations(blade, 2))
     return Graph(shape.vertex_count, edges), tuple(range(m))
 
 
@@ -160,11 +148,8 @@ def rt_lower_construction(n: int, r: int, part_key: str = "c5") -> Graph:
         starts.append(start)
         start += s
     # Complete join between distinct parts.
-    for i in range(r):
-        for j in range(i + 1, r):
-            for a in range(starts[i], starts[i] + sizes[i]):
-                for b in range(starts[j], starts[j] + sizes[j]):
-                    edges.append((a, b))
+    for part, other in combinations([range(a, a + s) for a, s in zip(starts, sizes)], 2):
+        edges += product(part, other)
     # Fill each part.
     for idx, (off, s) in enumerate(zip(starts, sizes)):
         if part_key.startswith("tf-process:"):

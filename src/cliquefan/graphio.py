@@ -2,9 +2,12 @@
 
 Graph files are line oriented and diff friendly: a header ``p <n> <m>``
 followed by m lines ``e <u> <v>`` with 0-based endpoints and u < v.
-Lines starting with ``#`` are ignored. Certificates serialize with a
-fixed key order; every floating-point value becomes its shortest
-round-tripping decimal string so verification stays bit-stable.
+Lines starting with ``#`` are ignored. After the header the reader takes
+blocks of about 64 KB cut after a newline: one of bare ``e <u> <v>`` lines
+parses whole into the graph's batch builder, any other (comments, blank
+lines, a bad line) line by line with line-numbered errors. Certificates
+serialize with a fixed key order; every floating-point value becomes its
+shortest round-tripping decimal string so verification stays bit-stable.
 """
 
 from __future__ import annotations
@@ -12,8 +15,12 @@ from __future__ import annotations
 import json
 from typing import Any, TextIO
 
+import numpy as np
+
 from .finder import SearchCertificate, search_thresholds
 from .graphs import Graph
+
+GRAPH_BLOCK = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -22,54 +29,100 @@ class GraphFormatError(ValueError):
 
 def write_graph(g: Graph, out: TextIO) -> None:
     out.write(f"p {g.n} {g.size}\n")
-    for u, v in g.edges():
-        out.write(f"e {u} {v}\n")
+    for u, mask in enumerate(g._adj):
+        later = [str(v) for v, bit in enumerate(bin(mask >> u + 1)[:1:-1], u + 1) if bit == "1"]
+        if later:
+            head = f"e {u} "
+            out.write(head + f"\n{head}".join(later) + "\n")
 
 
-def _records(src: TextIO):
-    """Yield the header's (n, m), then each edge (u, v), as lines are read."""
-    n = None
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: repeated header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                n, declared = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
-            if n < 0 or declared < 0:
-                raise GraphFormatError(f"line {lineno}: negative header numbers")
-            yield n, declared
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: edge must be 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad edge endpoints") from exc
-            if not u < v:
-                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            yield u, v
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-    if n is None:
-        raise GraphFormatError("missing 'p' header")
+def _record(raw: str, lineno: int, in_body: bool) -> tuple[int, int] | None:
+    """Check one line: the header's (n, m) before the body, an edge (u, v)
+    in it, or None for a blank or comment line."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split()
+    if parts[0] == "p":
+        if in_body:
+            raise GraphFormatError(f"line {lineno}: repeated header")
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: header must be 'p <n> <m>'")
+        try:
+            n, declared = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: bad header numbers") from exc
+        if n < 0 or declared < 0:
+            raise GraphFormatError(f"line {lineno}: negative header numbers")
+        return n, declared
+    if parts[0] == "e":
+        if not in_body:
+            raise GraphFormatError(f"line {lineno}: edge before header")
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: edge must be 'e <u> <v>'")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: bad edge endpoints") from exc
+        if not u < v:
+            raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+        return u, v
+    raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
+
+
+def _block_edges(block: str, lineno: int):
+    """Yield the edges of ``block``, whose first line is ``lineno`` + 1, in
+    batches: bare ``e <u> <v>`` lines with u < v parse as one int64 array,
+    anything else goes line by line through :func:`_record`."""
+    lines, tokens = block.count("\n"), block.split()
+    # Then every line holds three tokens and one 'e', its first character.
+    if (block.startswith("e") and block.count("e") == lines == block.count("\ne") + 1
+            and len(tokens) == 3 * lines and tokens[::3].count("e") == lines):
+        try:
+            uv = np.array([tokens[1::3], tokens[2::3]], np.int64).T
+        except (ValueError, OverflowError):  # an endpoint is no int64
+            uv = None
+        if uv is not None and (uv[:, 0] < uv[:, 1]).all():
+            yield uv
+            return
+    edges = []
+    for i, raw in enumerate(block.split("\n"), lineno + 1):
+        try:
+            edge = _record(raw, i, True)
+        except GraphFormatError:
+            yield edges  # the edges above the bad line are checked first
+            raise
+        if edge:
+            edges.append(edge)
+    yield edges
+
+
+def _body_batches(src: TextIO, lineno: int):
+    """Yield the edges after header line ``lineno``, reading blocks of about
+    GRAPH_BLOCK characters cut after their last newline."""
+    rest = ""
+    while True:
+        chunk = src.read(GRAPH_BLOCK)
+        text = rest + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        block, rest = text[:cut], text[cut:]
+        yield from _block_edges(block, lineno)
+        lineno += block.count("\n")
+        if not chunk:
+            return
 
 
 def read_graph(src: TextIO) -> Graph:
-    """Parse a graph file; edges go to the ``Graph`` as they are read."""
-    records = _records(src)
-    n, declared = next(records)
+    """Parse a graph file. The header is read line by line; the body goes
+    to the graph builder block by block, so no whole-file edge list forms."""
+    for lineno, raw in enumerate(iter(src.readline, ""), 1):
+        if header := _record(raw, lineno, False):
+            break
+    else:
+        raise GraphFormatError("missing 'p' header")
+    n, declared = header
     try:
-        g = Graph(n, records)
+        g = Graph.from_batches(n, _body_batches(src, lineno))
     except GraphFormatError:
         raise
     except ValueError as exc:

@@ -3,14 +3,21 @@
 Vertices are always ``0..n-1``; external labels stop at the I/O layer.
 Adjacency is kept as one Python int bitmask per vertex, so neighborhood
 intersection and membership tests cost O(n/word) regardless of density.
-Induced subgraphs are cut out of those masks by one numpy bit extract.
+One packed-row builder makes every graph from edges: batches of (m, 2)
+int64 arrays are checked with array operations and set as bits of an
+(n, ceil(n/8)) uint8 matrix whose rows become the masks. Induced
+subgraphs are cut out of the masks by one numpy bit extract.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
+from operator import index
 
 import numpy as np
+
+EDGE_BATCH = 1 << 13
 
 
 def mask_from(vertices: Iterable[int]) -> int:
@@ -39,22 +46,28 @@ class Graph:
     __slots__ = ("n", "_adj", "_size")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        it = iter(edges)
+        self._build(n, iter(lambda: list(islice(it, EDGE_BATCH)), []))
+
+    @classmethod
+    def from_batches(cls, n: int, batches: Iterable[Sequence[tuple[int, int]]]) -> Graph:
+        """Graph from batches of edges, best int64 (m, 2) arrays; same checks."""
+        g = cls.__new__(cls)
+        g._build(n, batches)
+        return g
+
+    def _build(self, n: int, batches: Iterable[Sequence[tuple[int, int]]]) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj = [0] * n
+        rows = np.zeros((n, (n + 7) // 8), np.uint8)
         size = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if (adj[u] >> v) & 1:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            size += 1
+        for batch in filter(len, batches):
+            uv = _checked_batch(rows, n, batch)
+            tails, heads = uv.T.ravel(), uv[:, ::-1].T.ravel()
+            np.bitwise_or.at(rows, (tails, heads >> 3), (1 << (heads & 7)).astype(np.uint8))
+            size += len(uv)
         self.n = n
-        self._adj = tuple(adj)
+        self._adj = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
         self._size = size
 
     @classmethod
@@ -89,7 +102,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         if not 0 <= v < self.n:
-            _raise_range(v, self.n)
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return bool((self.neighbor_mask(u) >> v) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -113,8 +126,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self._size})"
 
 
-def _raise_range(v: int, n: int):
-    raise ValueError(f"vertex {v} out of range for n={n}")
+def _checked_batch(rows: np.ndarray, n: int, batch) -> np.ndarray:
+    """The batch as an int64 (m, 2) array of new in-range edges, no loop and
+    no repeat; else the first bad edge raises, as a per-edge scan finds it."""
+    try:
+        uv = np.asarray(batch)
+    except ValueError:  # ragged pairs
+        uv = np.zeros(0)
+    if uv.dtype.kind in "biu" and uv.shape == (len(batch), 2):
+        u, v = (uv := uv.astype(np.int64)).T  # uint64 past int64 wraps negative
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        if (uv.min() >= 0 and uv.max() < n and (u != v).all() and (keys[1:] != keys[:-1]).all()
+                and not (rows[u, v >> 3] >> (v & 7) & 1).any()):
+            return uv
+    seen = set()
+    for u, v in batch:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = (min(index(u), index(v)), max(u, v))  # a float endpoint raises here
+        if key in seen or (rows[u, v >> 3] >> (v & 7)) & 1:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+    raise TypeError("edge endpoints must be integers")
 
 
 def vertex_set(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
@@ -158,12 +193,8 @@ def min_degree(g: Graph) -> tuple[int, int]:
     """Vertex of minimum degree and its degree; ties go to the smallest id."""
     if g.n == 0:
         raise ValueError("minimum degree of the empty graph is undefined")
-    best_v, best_d = 0, g.degree(0)
-    for v in range(1, g.n):
-        d = g.degree(v)
-        if d < best_d:
-            best_v, best_d = v, d
-    return best_v, best_d
+    d, v = min((g.degree(v), v) for v in range(g.n))
+    return v, d
 
 
 def common_neighbors(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
@@ -180,19 +211,11 @@ def common_neighbors(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     vs = vertex_set(g, vertices)
-    for i, u in enumerate(vs):
-        row = g.neighbor_mask(u)
-        for v in vs[i + 1:]:
-            if not (row >> v) & 1:
-                return False
-    return True
+    m = mask_from(vs)
+    return all((g._adj[u] | 1 << u) & m == m for u in vs)
 
 
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
     vs = vertex_set(g, vertices)
-    for i, u in enumerate(vs):
-        row = g.neighbor_mask(u)
-        for v in vs[i + 1:]:
-            if (row >> v) & 1:
-                return False
-    return True
+    m = mask_from(vs)
+    return all(g._adj[u] & m == 0 for u in vs)

@@ -187,6 +187,29 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
             mask = rest
         return found
 
+    def strip(mask: int) -> tuple[int, int]:
+        # Peel isolated vertices (singleton components, kept in the set) and
+        # universal ones (singleton co-components, beaten by any other) off
+        # mask; return the rest and the kept ones. With a isolated and b
+        # universal ones gone, v is isolated if its degree in mask is b and
+        # universal if it is |mask| - a - 1, so both sit at the ends of the
+        # degree order. A clique shrinks from its top to its least id.
+        vs = list(bits(mask))
+        deg = [(adj[v] & mask).bit_count() for v in vs]
+        if 0 not in deg and len(vs) - 1 not in deg:
+            return mask, 0
+        order = sorted(zip(deg, vs))
+        lo, hi, kept = 0, len(vs) - 1, 0
+        while lo <= hi:
+            if order[lo][0] == len(vs) - 1 - hi:
+                kept |= 1 << order[lo][1]
+                lo += 1
+            elif order[hi][0] == len(vs) - 1 - lo:
+                hi -= 1
+            else:
+                break
+        return mask_from(v for _, v in order[lo:hi + 1]), kept
+
     def cover_bound(mask: int) -> int:
         covers: list[int] = []
         m = mask
@@ -245,19 +268,23 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
     while todo:
         mask = todo.pop()
         if isinstance(mask, tuple):
-            union, k = mask
+            union, k, kept = mask
             parts, found[-k:] = found[-k:], []
             # Parts of a union are disjoint, so their sum is their union.
-            found.append(sum(parts) if union else max(parts, key=int.bit_count))
+            found.append(kept | (sum(parts) if union else max(parts, key=int.bit_count)))
+            continue
+        mask, kept = strip(mask)
+        if not mask:
+            found.append(kept)
             continue
         union, parts = True, components(mask, 0)
         if len(parts) == 1:
             union, parts = False, components(mask, -1)
         if len(parts) > 1:
-            todo.append((union, len(parts)))
+            todo.append((union, len(parts), kept))
             todo.extend(reversed(parts))
         else:
-            found.append(leaf(mask))
+            found.append(kept | leaf(mask))
     return IndependentSet(tuple(bits(found[0])))
 
 

@@ -47,39 +47,10 @@ class GeneralizedFanEmbedding:
 
 
 def find_clique(g: Graph, q: int) -> CliqueWitness | None:
-    """Lexicographically first q-clique, or None.
-
-    Plain backtracking over ascending ids, pruned only by candidate
-    counts, which keeps the visiting order obvious and reproducible.
-    """
+    """Lexicographically first q-clique, or None."""
     if q < 1:
         raise ValueError("clique size must be positive")
-    if q > g.n:
-        return None
-    if q == 1:
-        return CliqueWitness((0,))
-    adj = g._adj
-    prefix: list[int] = []
-
-    def rec(cand: int) -> bool:
-        if len(prefix) == q:
-            return True
-        if len(prefix) + cand.bit_count() < q:
-            return False
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            prefix.append(v)
-            if rec(m & adj[v]):
-                return True
-            prefix.pop()
-        return False
-
-    if rec((1 << g.n) - 1):
-        return CliqueWitness(tuple(prefix))
-    return None
+    return next(map(CliqueWitness, _cliques_within(g._adj, (1 << g.n) - 1, q)), None)
 
 
 def _cliques_within(adj: tuple[int, ...], avail: int, size: int):
@@ -161,31 +132,35 @@ def _disjoint_blades(
     return None
 
 
+def _blade_problem(g: Graph, center: int, blade, size: int, seen: set[int]) -> str | None:
+    """The first fault of one blade: its size, its vertices (range, and
+    not in ``seen``, which takes them in), then its clique with the center."""
+    if len(blade) != size:
+        return f"wrong blade size: {len(blade)} != {size}"
+    for v in blade:
+        if not 0 <= v < g.n:
+            return f"vertex {v} out of range"
+        if v in seen:
+            return f"duplicate vertex {v}"
+        seen.add(v)
+    group = (center, *blade)
+    for i, u in enumerate(group):
+        for v in group[i + 1:]:
+            if not g.has_edge(u, v):
+                return f"missing edge ({u}, {v})"
+    return None
+
+
 def verify_fan(g: Graph, e: FanEmbedding, shape: FanShape) -> str | None:
     """None when the embedding is a valid fan of the given shape in ``g``,
     else the first violated constraint."""
-    k, r = shape.k, shape.r
     if not 0 <= e.center < g.n:
         return f"center {e.center} out of range"
-    if len(e.blades) != k:
-        return f"wrong blade count: {len(e.blades)} != {k}"
+    if len(e.blades) != shape.k:
+        return f"wrong blade count: {len(e.blades)} != {shape.k}"
     seen = {e.center}
-    for blade in e.blades:
-        if len(blade) != r - 1:
-            return f"wrong blade size: {len(blade)} != {r - 1}"
-        for v in blade:
-            if not 0 <= v < g.n:
-                return f"vertex {v} out of range"
-            if v in seen:
-                return f"duplicate vertex {v}"
-            seen.add(v)
-    for blade in e.blades:
-        group = (e.center, *blade)
-        for i, u in enumerate(group):
-            for v in group[i + 1:]:
-                if not g.has_edge(u, v):
-                    return f"missing edge ({u}, {v})"
-    return None
+    problems = (_blade_problem(g, e.center, b, shape.r - 1, seen) for b in e.blades)
+    return next(filter(None, problems), None)
 
 
 def verify_generalized_fan(g: Graph, e: GeneralizedFanEmbedding, r: int) -> str | None:
@@ -207,19 +182,9 @@ def verify_generalized_fan(g: Graph, e: GeneralizedFanEmbedding, r: int) -> str 
     if not is_clique(g, e.base):
         return "base is not a clique"
     seen = set(e.base)
-    for center, blades in zip(e.base, e.blades_by_center):
-        for blade in blades:
-            if len(blade) != 2 * r:
-                return f"wrong blade size: {len(blade)} != {2 * r}"
-            for v in blade:
-                if not 0 <= v < g.n:
-                    return f"vertex {v} out of range"
-                if v in seen:
-                    return f"duplicate vertex {v}"
-                seen.add(v)
-            group = (center, *blade)
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    if not g.has_edge(u, v):
-                        return f"missing edge ({u}, {v})"
-    return None
+    problems = (
+        _blade_problem(g, center, b, 2 * r, seen)
+        for center, blades in zip(e.base, e.blades_by_center)
+        for b in blades
+    )
+    return next(filter(None, problems), None)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from heapq import heappop, heappush
 
 import pytest
 
@@ -21,7 +23,7 @@ from cliquefan.generators import (
     rt_lower_construction,
     turan_graph,
 )
-from cliquefan.graphs import Graph, induced_subgraph, is_clique, is_independent, min_degree
+from cliquefan.graphs import Graph, bits, induced_subgraph, is_clique, is_independent, min_degree
 from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import graph_from_code, pair_count
 from cliquefan.witness import CliqueWitness, FanEmbedding, find_fan, verify_fan
@@ -65,6 +67,77 @@ class TestPeel:
         g = gnp_random(60, 0.4, 19)
         p = DensityParams(0.15, 0.4, 0.2)
         assert peel_dense_subgraph(g, p) == peel_dense_subgraph(g, p)
+
+    def test_matches_the_heap_peel(self):
+        def params(n, r, eps):
+            th = search_thresholds(n, 2, r, eps)
+            return DensityParams(th.peel_beta, th.peel_eps, th.peel_c)
+
+        core = turan_graph(480, 5)
+        planted = Graph(600, list(core.edges()) + [
+            e for e in gnp_random(600, 0.02, 5).edges() if not (e[0] < 480 and e[1] < 480)
+        ])
+        cases = [
+            (gnp_random(800, 0.58, 1), params(800, 2, 0.2)),
+            (gnp_random(700, 0.75, 2), params(700, 3, 0.2)),
+            (planted, params(600, 2, 0.2)),
+        ]
+        for i in range(200):
+            n, r, p = 8 + i % 47, 2 + i % 2, (0.5, 0.7, 0.85, 0.95)[i % 4]
+            cases.append((gnp_random(n, p, 9_000_000 + i), params(n, r, 0.3)))
+        outcomes = set()
+        for g, p in cases:
+            got = peel_dense_subgraph(g, p)
+            assert got == heap_peel(g, p)
+            outcomes.add(type(got))
+        assert outcomes == {tuple, HypothesisViolation}
+        assert isinstance(peel_dense_subgraph(*cases[0]), HypothesisViolation)
+        assert len(peel_dense_subgraph(*cases[2])) == 480
+
+
+def heap_peel(g: Graph, params: DensityParams):
+    """The peel as a heap of candidates, re-queued when they lose a neighbour."""
+    n = g.n
+    coef = 2.0 * params.beta * (1.0 + params.eps / 2.0)
+    deficiency = HypothesisViolation(
+        "edge-deficiency", (), g.size, params.beta * (1.0 + params.eps) * n * n
+    )
+    if n == 0:
+        return deficiency
+    deg = [g.degree(v) for v in range(n)]
+    alive = bytearray([1]) * n
+    m, heap = n, list(range(n))
+    while heap:
+        v = heappop(heap)
+        if not alive[v] or deg[v] > coef * m:
+            continue
+        alive[v] = 0
+        m -= 1
+        if m <= params.c * n:
+            return deficiency
+        for u in bits(g.neighbor_mask(v)):
+            if alive[u]:
+                deg[u] -= 1
+                heappush(heap, u)
+    return tuple(v for v in range(n) if alive[v])
+
+
+class TestCheckViolation:
+    def test_extension_failure_needs_its_observed_count_and_threshold(self):
+        g = gnp_random(19, 0.95, 9_000_071)
+        out, _ = find_odd_fan(g, 3, 3, 0.3)
+        assert out.kind == "clique-extension-failure" and check_violation(g, out)
+        assert not check_violation(g, replace(out, observed=99))
+        assert not check_violation(g, replace(out, threshold=-3.0))
+        assert not check_violation(g, replace(out, observed=99, threshold=-3.0))
+        assert not check_violation(g, replace(out, observed=1))
+
+    def test_edge_deficiency_has_no_vertices(self):
+        g = star(99)
+        res = peel_dense_subgraph(g, DensityParams(0.3, 0.5, 0.3))
+        assert check_violation(g, res)
+        assert not check_violation(g, replace(res, vertices=(0,)))
+        assert not check_violation(g, replace(res, vertices=(3, 5)))
 
 
 class TestExtendClique:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cliquefan.generators import gnp_random, rt_lower_construction
-from cliquefan.graphs import Graph, bits, is_independent
+from cliquefan.graphs import Graph, bits, induced_subgraph, is_independent, mask_from
 from cliquefan.invariants import (
     BudgetExceeded,
     Matching,
@@ -144,6 +144,34 @@ def connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def components(g: Graph, mask: int, flip: int) -> list[int]:
+    """Components of G[mask], or of its complement if flip = -1, by least id."""
+    found = []
+    while mask:
+        comp, stack = 0, [(mask & -mask).bit_length() - 1]
+        while stack:
+            v = stack.pop()
+            if not comp >> v & 1:
+                comp |= 1 << v
+                stack.extend(bits(mask & ~comp & (g._adj[v] ^ flip)))
+        found.append(comp)
+        mask &= ~comp
+    return found
+
+
+def split_reference(g: Graph, mask: int) -> int:
+    """The component and co-component split with no stripping: a union
+    takes every part's witness, a join the largest (first on ties), and a
+    part that splits neither way the unsplit branch and bound."""
+    for flip in (0, -1):
+        parts = components(g, mask, flip)
+        if len(parts) > 1:
+            found = [split_reference(g, p) for p in parts]
+            return sum(found) if flip == 0 else max(found, key=int.bit_count)
+    vs = list(bits(mask))
+    return mask_from(vs[i] for i in unsplit_search(induced_subgraph(g, vs)[0]))
+
+
 def unsplit_search(g: Graph) -> tuple[int, ...]:
     """The branch and bound run on the whole graph, without any split."""
     adj, n = g._adj, g.n
@@ -241,6 +269,36 @@ class TestComponentSplit:
         n = 1100
         g = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
         assert max_independent_set(g, budget=10_000).members == tuple(range(0, n, 2))
+
+    def test_threshold_graph_of_order_2000_is_stripped_whole(self):
+        # Every level of this cograph has an isolated or a universal vertex,
+        # so stripping leaves no branch and bound at all: one expansion of
+        # budget is plenty.
+        n = 2000
+        g = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+        ind = max_independent_set(g, budget=1)
+        assert len(ind) == 1000 and ind.members == tuple(range(0, n, 2))
+
+    def test_stripping_keeps_the_split_witness(self):
+        rng = random.Random(61)
+        hosts = []
+        for n in (1, 2, 3, 9, 40, 150):
+            for rule in range(4):
+                # Vertex v joins every earlier vertex with probability 1/2.
+                joins = [v for v in range(n) if rng.random() < 0.5 or rule == 3]
+                hosts.append(Graph(n, [(u, v) for v in joins for u in range(v)]))
+        for seed in range(60):
+            g = gnp_random(5 + seed % 30, (0.2, 0.5, 0.8)[seed % 3], 54_000 + seed)
+            edges = set(g.edges())
+            for v in rng.sample(range(g.n), 3):
+                edges = {e for e in edges if v not in e}
+                if rng.random() < 0.5:
+                    edges |= {(min(u, v), max(u, v)) for u in range(g.n) if u != v}
+            hosts.append(relabel(Graph(g.n, sorted(edges)), seed))
+            hosts.append(join(self.block(seed, 1 + seed % 4), complete(1 + seed % 3)))
+        for g in hosts:
+            want = tuple(bits(split_reference(g, (1 << g.n) - 1)))
+            assert max_independent_set(g, budget=10**6).members == want, list(g.edges())
 
     def test_c13_power_construction_needs_a_small_budget(self):
         g = rt_lower_construction(156, 3, "c13-power")
