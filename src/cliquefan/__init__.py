@@ -15,6 +15,7 @@ from .finder import (
     replay_certificate,
     rotate_clique,
     search_thresholds,
+    verify_certificate,
 )
 from .generators import (
     FanShape,
@@ -43,7 +44,6 @@ from .invariants import (
     max_matching,
 )
 from .witness import (
-    CliqueWitness,
     FanEmbedding,
     GeneralizedFanEmbedding,
     find_clique,

@@ -33,21 +33,12 @@ from .graphs import (
 )
 from .invariants import greedy_independent_from_matching, max_matching
 from .witness import (
-    CliqueWitness,
     FanEmbedding,
     GeneralizedFanEmbedding,
     _triangle_fan_at,
     verify_fan,
     verify_generalized_fan,
 )
-
-VIOLATION_KINDS = (
-    "edge-deficiency",
-    "large-independent-set",
-    "low-degree-vertex",
-    "clique-extension-failure",
-)
-
 
 class SearchInvariantError(RuntimeError):
     """An internal invariant of the augmentation loop broke; this is a
@@ -231,7 +222,7 @@ def rotate_clique(
     degree_threshold: float | None = None,
 ):
     """Grow a clique of 1 to 2r vertices by one, reusing all but at most
-    one of its vertices.
+    one of its vertices, and return the new clique as a sorted tuple.
 
     The degree hypothesis is checked as in :func:`extend_clique`. A
     common neighbor settles it directly. Otherwise the vertices adjacent
@@ -251,7 +242,7 @@ def rotate_clique(
         raise ValueError("cannot rotate an empty clique")
     if common:
         v = (common & -common).bit_length() - 1
-        return CliqueWitness(tuple(sorted(d + (v,))))
+        return tuple(sorted(d + (v,)))
     s, dmask = len(d), mask_from(d)
     buckets: dict[int, list[int]] = {v: [] for v in d}
     for w in bits(mask & ~dmask):
@@ -265,8 +256,7 @@ def rotate_clique(
             row = g.neighbor_mask(x)
             for y in group[i + 1:]:
                 if (row >> y) & 1:
-                    swapped = sorted(set(d) - {v} | {x, y})
-                    return CliqueWitness(tuple(swapped))
+                    return tuple(sorted(set(d) - {v} | {x, y}))
     best = d[0]
     for v in d[1:]:
         if len(buckets[v]) > len(buckets[best]):
@@ -285,7 +275,6 @@ class DegreeBoundReport:
     triangles: per-vertex neighborhood matching numbers, plus the
     independent set left unmatched in the densest neighborhood."""
 
-    blade_target: int
     nu_by_vertex: tuple[int, ...]
     densest_vertex: int | None
     independent_set: tuple[int, ...]
@@ -309,13 +298,13 @@ def fan_at_vertex_r1(g: Graph, k: int):
             return emb
         nus.append(nu)
     if g.n == 0:
-        return DegreeBoundReport(k, (), None, ())
+        return DegreeBoundReport((), None, ())
     densest = min(range(g.n), key=lambda v: (-g.degree(v), v))
     sub, mapping = induced_subgraph(g, g.neighbors(densest))
     back = {i: v for v, i in mapping.items()}
     unmatched = greedy_independent_from_matching(sub, max_matching(sub))
     ind = tuple(sorted(back[i] for i in unmatched.members))
-    return DegreeBoundReport(k, tuple(nus), densest, ind)
+    return DegreeBoundReport(tuple(nus), densest, ind)
 
 
 @dataclass(frozen=True)
@@ -429,16 +418,6 @@ def _finish_violation(cert: SearchCertificate, v: HypothesisViolation):
     return v, cert
 
 
-def _finish_embedding(g: Graph, cert: SearchCertificate, center: int, blades, k: int, r: int):
-    """Verify the fan of the center's first k blades and record it."""
-    emb = FanEmbedding(center, tuple(blades[:k]))
-    reason = verify_fan(g, emb, FanShape(k, 2 * r + 1))
-    if reason is not None:
-        raise SearchInvariantError(f"final embedding rejected: {reason}")
-    cert.outcome = _embedding_dict(emb)
-    return emb, cert
-
-
 def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     """Search for k cliques K_{2r+1} through one vertex.
 
@@ -446,20 +425,16 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     verified :class:`FanEmbedding` or a :class:`HypothesisViolation`.
     For r = 1 the triangle scan answers directly. Otherwise: peel to a
     dense core, seed an (r+1)-clique by repeated extension, then loop:
-    if some center already owns k blades, done; otherwise delete all
-    blade vertices, rotate the base r times up to a K_{2r+1}, attach it
-    as a new blade of the earliest base vertex it retained, shrink the
-    base to that prefix and re-extend it to r+1 vertices. The count
+    delete all blade vertices, rotate the base r times up to a K_{2r+1}
+    and attach it as a new blade of the earliest base vertex it retained;
+    once that vertex owns k blades, done; otherwise shrink the base to
+    that prefix and re-extend it to r+1 vertices. The count
     tuple rises strictly in lexicographic order each time, which caps
     the loop at k^(r+1) iterations; exceeding the cap is a bug, not a
     legitimate outcome.
 
     Requires eps < (r - 1)/r for r >= 2 so the peeling slack stays valid.
     """
-    if k < 1:
-        raise ValueError("blade count must be positive")
-    if r < 1:
-        raise ValueError("r must be positive")
     th = search_thresholds(g.n, k, r, eps)
     cert = SearchCertificate(
         input={"n": g.n, "edges": g.size, "k": k, "r": r, "eps": eps},
@@ -499,8 +474,6 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
         reason = verify_generalized_fan(g, current, r)
         if reason is not None:
             raise SearchInvariantError(f"intermediate fan invalid: {reason}")
-        if ks[0] >= k:
-            return _finish_embedding(g, cert, order[0], blades[order[0]], k, r)
 
         blade_vertices = {v for lst in blades.values() for b in lst for v in b}
         h_pool = pool - blade_vertices
@@ -510,9 +483,9 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
             if isinstance(res, HypothesisViolation):
                 return _finish_violation(cert, res)
             cert.steps.append(
-                {"kind": "rotate", "from": list(rotated), "to": list(res.vertices)}
+                {"kind": "rotate", "from": list(rotated), "to": list(res)}
             )
-            rotated = res.vertices
+            rotated = res
 
         kept = set(rotated)
         survivors = [v for v in order if v in kept]
@@ -538,7 +511,12 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
         if len(blades[v_s]) >= k:
             # Done already; re-extending the base first could starve on
             # a host with no vertices to spare.
-            return _finish_embedding(g, cert, v_s, blades[v_s], k, r)
+            emb = FanEmbedding(v_s, tuple(blades[v_s]))
+            reason = verify_fan(g, emb, FanShape(k, 2 * r + 1))
+            if reason is not None:
+                raise SearchInvariantError(f"final embedding rejected: {reason}")
+            cert.outcome = _embedding_dict(emb)
+            return emb, cert
 
         blade_vertices = {v for lst in blades.values() for b in lst for v in b}
         star_pool = pool - blade_vertices
@@ -586,3 +564,20 @@ def replay_certificate(g: Graph, cert: SearchCertificate) -> bool:
         and fresh.steps == cert.steps
         and fresh.outcome == cert.outcome
     )
+
+
+def verify_certificate(g: Graph, cert: SearchCertificate) -> str | None:
+    """None when the certificate replays and its outcome passes the
+    checker that shares no code with the search (replay alone only
+    reproduces the search), else the reason for rejecting it."""
+    if not replay_certificate(g, cert):
+        return "replay diverges from the certificate"
+    out = cert.outcome
+    if out["type"] == "embedding":
+        emb = FanEmbedding(out["center"], tuple(tuple(b) for b in out["blades"]))
+        return verify_fan(g, emb, FanShape(cert.input["k"], 2 * cert.input["r"] + 1))
+    within = None if out["within"] is None else tuple(out["within"])
+    viol = HypothesisViolation(
+        out["kind"], tuple(out["vertices"]), out["observed"], out["threshold"], within
+    )
+    return None if check_violation(g, viol) else f"{out['kind']} witness fails its check"

@@ -5,6 +5,7 @@ complete-multipartite lower-bound construction, and seeded random graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -70,8 +71,10 @@ def turan_graph(n: int, r: int) -> Graph:
     return Graph._from_masks(n, masks, m)
 
 
+@lru_cache(maxsize=16)
 def fan_graph(shape: FanShape) -> tuple[Graph, int]:
-    """Fan with the given shape; returns the graph and its center (always 0)."""
+    """Fan with the given shape; returns the graph and its center (always 0).
+    Cached per shape, since a :class:`Graph` is immutable."""
     k, r = shape.k, shape.r
     edges = []
     for j in range(k):

@@ -6,8 +6,8 @@ Lines starting with ``#`` are ignored. After the header the reader takes
 blocks of about 64 KB cut after a newline: one of bare ``e <u> <v>`` lines
 parses whole into the graph's batch builder, any other (comments, blank
 lines, a bad line) line by line with line-numbered errors. Certificates
-serialize with a fixed key order; every floating-point value becomes its
-shortest round-tripping decimal string so verification stays bit-stable.
+serialize with a fixed key order; each float field (``FLOAT_FIELDS``) holds
+its shortest round-tripping decimal string so verification stays bit-stable.
 """
 
 from __future__ import annotations
@@ -133,29 +133,33 @@ def read_graph(src: TextIO) -> Graph:
     return g
 
 
-def _encode_floats(value: Any) -> Any:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, dict):
-        return {k: _encode_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_floats(v) for v in value]
-    return value
+# The certificate fields that hold floats, by part (None: every field). A
+# float is written as its repr, the shortest string that reads back to it.
+FLOAT_FIELDS = {"input": ("eps",), "thresholds": None, "outcome": ("observed", "threshold")}
+
+
+def _code_floats(part: str, values: dict[str, Any], code) -> dict[str, Any]:
+    keys = FLOAT_FIELDS[part]
+    return {k: code(v) if keys is None or k in keys else v for k, v in values.items()}
+
+
+def _encode(v: Any) -> Any:
+    return repr(v) if isinstance(v, float) else v
+
+
+def _decode(v: Any) -> Any:
+    return float(v) if isinstance(v, str) else v
 
 
 def certificate_to_json(cert: SearchCertificate) -> str:
     payload = {
         "format": "cliquefan-certificate-v1",
-        "input": _encode_floats(cert.input),
-        "thresholds": _encode_floats(cert.thresholds),
+        "input": _code_floats("input", cert.input, _encode),
+        "thresholds": _code_floats("thresholds", cert.thresholds, _encode),
         "steps": cert.steps,
-        "outcome": _encode_floats(cert.outcome),
+        "outcome": _code_floats("outcome", cert.outcome, _encode),
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _decode_number(value: Any) -> Any:
-    return float(value) if isinstance(value, str) else value
 
 
 def certificate_from_json(text: str) -> SearchCertificate:
@@ -168,13 +172,8 @@ def certificate_from_json(text: str) -> SearchCertificate:
     for key, kind in (("input", dict), ("thresholds", dict), ("steps", list), ("outcome", dict)):
         if not isinstance(payload.get(key), kind):
             raise GraphFormatError(f"certificate field {key!r} missing or not a {kind.__name__}")
-    inp, outcome, steps = dict(payload["input"]), dict(payload["outcome"]), payload["steps"]
     try:
-        inp["eps"] = _decode_number(inp["eps"])
-        thresholds = {k: _decode_number(v) for k, v in payload["thresholds"].items()}
-        for key in ("threshold", "observed"):
-            if key in outcome:
-                outcome[key] = _decode_number(outcome[key])
+        inp, thresholds, outcome = (_code_floats(p, payload[p], _decode) for p in FLOAT_FIELDS)
         if type(inp["k"]) is not int or type(inp["r"]) is not int:
             raise TypeError("k and r must be integers")
         # The search's own parameter checks decide what a certificate may carry.
@@ -183,7 +182,7 @@ def certificate_from_json(text: str) -> SearchCertificate:
         raise GraphFormatError(f"certificate missing field: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad certificate value: {exc}") from exc
-    return SearchCertificate(input=inp, thresholds=thresholds, steps=steps, outcome=outcome)
+    return SearchCertificate(inp, thresholds, payload["steps"], outcome)
 
 
 def write_tsv(headers: list[str], rows: list[list[Any]], out: TextIO) -> None:

@@ -80,11 +80,6 @@ class Graph:
         return g
 
     @property
-    def order(self) -> int:
-        """Number of vertices."""
-        return self.n
-
-    @property
     def size(self) -> int:
         """Number of edges."""
         return self._size

@@ -16,14 +16,6 @@ from .invariants import max_matching
 
 
 @dataclass(frozen=True)
-class CliqueWitness:
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class FanEmbedding:
     """Center plus pairwise disjoint blades; blade + center must be a clique."""
 
@@ -42,15 +34,12 @@ class GeneralizedFanEmbedding:
     base: tuple[int, ...]
     blades_by_center: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def fan_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted((len(b) for b in self.blades_by_center), reverse=True))
 
-
-def find_clique(g: Graph, q: int) -> CliqueWitness | None:
-    """Lexicographically first q-clique, or None."""
+def find_clique(g: Graph, q: int) -> tuple[int, ...] | None:
+    """Lexicographically first q-clique as a sorted tuple, or None."""
     if q < 1:
         raise ValueError("clique size must be positive")
-    return next(map(CliqueWitness, _cliques_within(g._adj, (1 << g.n) - 1, q)), None)
+    return next(_cliques_within(g._adj, (1 << g.n) - 1, q), None)
 
 
 def _cliques_within(adj: tuple[int, ...], avail: int, size: int):

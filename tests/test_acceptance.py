@@ -28,7 +28,7 @@ from cliquefan.generators import (
 from cliquefan.graphs import induced_subgraph, is_clique, is_independent, min_degree
 from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import exact_ex, exact_rt, graph_from_code, naive_contains, pair_count
-from cliquefan.witness import CliqueWitness, FanEmbedding, find_clique, find_fan, verify_fan
+from cliquefan.witness import FanEmbedding, find_clique, find_fan, verify_fan
 
 
 def _report(num: int, text: str) -> None:
@@ -131,10 +131,10 @@ def test_criterion_4_rotation_dichotomy():
                 d = tuple(sorted(clique[:size]))
                 res = rotate_clique(g, d, 2, 0.3, -1.0, degree_threshold=0.0)
                 calls += 1
-                if isinstance(res, CliqueWitness):
-                    assert is_clique(g, res.vertices)
-                    assert len(res.vertices) == len(d) + 1
-                    assert len(set(res.vertices) & set(d)) >= len(d) - 1
+                if isinstance(res, tuple):
+                    assert is_clique(g, res) and res == tuple(sorted(res))
+                    assert len(res) == len(d) + 1
+                    assert len(set(res) & set(d)) >= len(d) - 1
                 else:
                     assert isinstance(res, HypothesisViolation)
                     assert res.kind == "large-independent-set"

@@ -1,13 +1,25 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from cliquefan import cli, finder, graphio
-from cliquefan.finder import HypothesisViolation, find_odd_fan
-from cliquefan.generators import gnp_random, rt_lower_construction, turan_graph
+from cliquefan.finder import find_odd_fan
+from cliquefan.generators import (
+    FanShape,
+    TupleShape,
+    fan_graph,
+    generalized_fan,
+    gnp_random,
+    rt_lower_construction,
+    turan_graph,
+)
 from cliquefan.graphs import Graph
-from util import complete, petersen
+from util import complete, empty_witness_rotation, petersen
+
+REFERENCE_TSV = Path(cli.__file__).parent / "data" / "reference_values.tsv"
+MISSING = object()
 
 
 def run_cli(*argv) -> int:
@@ -94,9 +106,16 @@ class TestCommands:
         assert g.size == 12
 
     def test_generate_to_stdout(self, capsys):
-        assert run_cli("generate", "gnp", "8", "0.5", "--seed", "4") == 0
-        captured = capsys.readouterr()
-        assert graphio.read_graph(io.StringIO(captured.out)) == gnp_random(8, 0.5, 4)
+        for argv, expected, note in [
+            (("gnp", "8", "0.5", "--seed", "4"), gnp_random(8, 0.5, 4), ""),
+            (("fan", "2", "5"), fan_graph(FanShape(2, 5))[0], "center 0\n"),
+            (("gfan", "2,1", "2"), generalized_fan(TupleShape((2, 1), 2))[0], "base 0 1\n"),
+            (("rt-lower", "20", "2", "--parts", "c5"), rt_lower_construction(20, 2, "c5"), ""),
+        ]:
+            assert run_cli("generate", *argv) == 0
+            captured = capsys.readouterr()
+            assert graphio.read_graph(io.StringIO(captured.out)) == expected
+            assert captured.err == note
 
     def test_find_fan_positive_and_verify(self, tmp_path):
         gpath = write_graph_file(tmp_path, turan_graph(25, 5))
@@ -143,6 +162,12 @@ class TestCommands:
     def test_ex_command(self, capsys):
         assert run_cli("ex", "5", "--k", "1", "--r", "3") == 0
         assert "ex 6" in capsys.readouterr().out
+
+    def test_ex_prints_the_reference_row(self, capsys):
+        rows = [line.split("\t") for line in REFERENCE_TSV.read_text().splitlines()]
+        (value, code), = [row[4:] for row in rows if row[:4] == ["7", "1", "3", "-"]]
+        assert run_cli("ex", "7", "--k", "1", "--r", "3") == 0
+        assert capsys.readouterr().out == f"ex {value} witness-code {code}\n"
 
     def test_rt_infeasible(self, capsys):
         assert run_cli("rt", "6", "--k", "1", "--r", "3", "--alpha-cap", "2") == 0
@@ -231,18 +256,9 @@ class TestCommands:
         assert row[0] == "300" and int(row[4]) == 20 * 2
 
     def test_verify_runs_the_violation_checker(self, tmp_path, capsys, monkeypatch):
-        # A rotation that reports an empty independent set instead of its
-        # extension failure: producing and replaying both emit the bad
-        # witness, so only the independent checker can reject it.
-        real_rotate = finder.rotate_clique
-
-        def empty_witness_rotate(g, clique, r, eps, alpha_bound, **kwargs):
-            res = real_rotate(g, clique, r, eps, alpha_bound, **kwargs)
-            if isinstance(res, HypothesisViolation) and res.kind == "clique-extension-failure":
-                return HypothesisViolation("large-independent-set", (), 0, alpha_bound)
-            return res
-
-        monkeypatch.setattr(finder, "rotate_clique", empty_witness_rotate)
+        # Producing and replaying both emit the bad witness, so only the
+        # independent checker can reject it.
+        monkeypatch.setattr(finder, "rotate_clique", empty_witness_rotation(finder.rotate_clique))
         gpath = write_graph_file(tmp_path, gnp_random(19, 0.95, 9_000_071))
         cpath = str(tmp_path / "cert.json")
         assert run_cli("find-fan", gpath, "--k", "3", "--r", "3", "--eps", "0.3",
@@ -265,6 +281,9 @@ class TestCommands:
             ("input", "eps", "nan"),
             ("input", "eps", "abc"),
             ("thresholds", "delta", "abc"),
+            ("outcome", "threshold", "abc"),
+            ("input", "n", "25"),  # only float fields are decoded
+            pytest.param("input", "eps", MISSING, id="input-eps-missing"),
         ],
     )
     def test_malformed_certificate_exits_65(self, tmp_path, capsys, field, key, value):
@@ -273,11 +292,18 @@ class TestCommands:
         assert run_cli("find-fan", gpath, "--k", "2", "--r", "2", "--eps", "0.2",
                        "--cert", str(cpath)) == 0
         payload = json.loads(cpath.read_text())
-        (payload if field is None else payload[field])[key] = value
+        target = payload if field is None else payload[field]
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
         cpath.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli("verify", gpath, str(cpath)) == 65
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if value is MISSING:
+            assert f"certificate missing field: '{key}'" in err
 
     def test_non_ascii_graph_file_exits_65(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

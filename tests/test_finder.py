@@ -4,6 +4,7 @@ from heapq import heappop, heappush
 
 import pytest
 
+from cliquefan import finder
 from cliquefan.finder import (
     DegreeBoundReport,
     DensityParams,
@@ -16,6 +17,7 @@ from cliquefan.finder import (
     replay_certificate,
     rotate_clique,
     search_thresholds,
+    verify_certificate,
 )
 from cliquefan.generators import (
     FanShape,
@@ -26,8 +28,8 @@ from cliquefan.generators import (
 from cliquefan.graphs import Graph, bits, induced_subgraph, is_clique, is_independent, min_degree
 from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import graph_from_code, pair_count
-from cliquefan.witness import CliqueWitness, FanEmbedding, find_fan, verify_fan
-from util import complete, cycle, petersen, star, wheel4
+from cliquefan.witness import FanEmbedding, find_fan, verify_fan
+from util import complete, cycle, empty_witness_rotation, petersen, star, wheel4
 
 
 class TestDensityParams:
@@ -183,17 +185,15 @@ class TestRotateClique:
     def test_common_neighbor_branch(self):
         g = rt_lower_construction(6, 3, "empty")  # parts {0,1}, {2,3}, {4,5}
         res = rotate_clique(g, (0, 3), 2, 0.3, 0.01)
-        assert isinstance(res, CliqueWitness)
-        assert res.vertices == (0, 3, 4)
+        assert res == (0, 3, 4)
 
     def test_swap_branch(self):
         # x and y sit in the bucket of the first vertex; the swap trades
         # it for the adjacent pair.
         g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
         res = rotate_clique(g, (0, 1), 2, 0.3, 0.01, degree_threshold=0.0)
-        assert isinstance(res, CliqueWitness)
-        assert res.vertices == (1, 2, 3)
-        assert len(set(res.vertices) & {0, 1}) >= 1
+        assert res == (1, 2, 3)
+        assert len(set(res) & {0, 1}) >= 1
 
     def test_triangle_free_graph_yields_independent_witness(self):
         g = cycle(5)
@@ -217,10 +217,10 @@ class TestRotateClique:
                 if d is None:
                     continue
                 res = rotate_clique(g, d, 2, 0.3, 0.0, degree_threshold=0.0)
-                if isinstance(res, CliqueWitness):
-                    assert is_clique(g, res.vertices)
-                    assert len(res.vertices) == len(d) + 1
-                    assert len(set(res.vertices) & set(d)) >= len(d) - 1
+                if isinstance(res, tuple):
+                    assert is_clique(g, res) and res == tuple(sorted(res))
+                    assert len(res) == len(d) + 1
+                    assert len(set(res) & set(d)) >= len(d) - 1
                 else:
                     assert res.kind == "large-independent-set"
                     assert is_independent(g, res.vertices)
@@ -401,7 +401,30 @@ class TestFindOddFan:
         assert check_violation(g, out)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k >= 1, r >= 1"):
             find_odd_fan(complete(5), 0, 2, 0.2)
+        with pytest.raises(ValueError, match="k >= 1, r >= 1"):
+            find_odd_fan(complete(5), 1, 0, 0.2)
         with pytest.raises(ValueError):
             find_odd_fan(complete(5), 1, 2, 0.7)  # peel slack would leave (0, 1)
+
+
+class TestVerifyCertificate:
+    def test_accepts_embeddings_and_violations(self):
+        for g, k in ((turan_graph(25, 5), 2), (turan_graph(20, 4), 1)):
+            _, cert = find_odd_fan(g, k, 2, 0.2)
+            assert verify_certificate(g, cert) is None
+
+    def test_reports_a_replay_divergence(self):
+        g = turan_graph(25, 5)
+        _, cert = find_odd_fan(g, 2, 2, 0.2)
+        moved = replace(cert, outcome={**cert.outcome, "center": 1 - cert.outcome["center"]})
+        assert verify_certificate(g, moved) == "replay diverges from the certificate"
+
+    def test_reports_a_checker_rejection(self, monkeypatch):
+        # The faulty rotation replays, so only the checker can reject it.
+        monkeypatch.setattr(finder, "rotate_clique", empty_witness_rotation(finder.rotate_clique))
+        g = gnp_random(19, 0.95, 9_000_071)
+        _, cert = find_odd_fan(g, 3, 3, 0.3)
+        assert cert.outcome["vertices"] == []
+        assert verify_certificate(g, cert) == "large-independent-set witness fails its check"

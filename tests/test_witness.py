@@ -5,6 +5,7 @@ from cliquefan.graphs import Graph
 from cliquefan.oracle import graph_from_code, naive_contains, pair_count
 from cliquefan.witness import (
     FanEmbedding,
+    GeneralizedFanEmbedding,
     find_clique,
     find_fan,
     verify_fan,
@@ -17,7 +18,7 @@ SHAPES = [FanShape(1, 3), FanShape(2, 3), FanShape(1, 5), FanShape(2, 2), FanSha
 
 class TestFindClique:
     def test_complete(self):
-        assert find_clique(complete(5), 5).vertices == (0, 1, 2, 3, 4)
+        assert find_clique(complete(5), 5) == (0, 1, 2, 3, 4)
 
     def test_turan_is_k5_free(self):
         assert find_clique(turan_graph(20, 4), 5) is None
@@ -27,7 +28,7 @@ class TestFindClique:
 
     def test_lexicographically_first(self):
         g = Graph(6, [(1, 2), (2, 5), (1, 5), (3, 4), (0, 3), (0, 4)])
-        assert find_clique(g, 3).vertices == (0, 3, 4)
+        assert find_clique(g, 3) == (0, 3, 4)
 
     def test_absence_is_monotone_in_size(self):
         for seed in range(40):
@@ -131,3 +132,29 @@ class TestVerifyGeneralizedFan:
         emb = GeneralizedFanEmbedding((0,), (((1, 2, 3),),))
         assert "blade size" in verify_generalized_fan(g, emb, 2)
         assert verify_generalized_fan(g, GeneralizedFanEmbedding((0,), (((1, 2),),)), 1) is None
+
+
+K6 = complete(6)
+
+
+@pytest.mark.parametrize(
+    "check, reason",
+    [
+        (lambda: verify_generalized_fan(K6, GeneralizedFanEmbedding((), ()), 1), "empty base"),
+        (lambda: verify_generalized_fan(K6, GeneralizedFanEmbedding((0, 0), ((), ())), 1),
+         "duplicate vertex in base"),
+        (lambda: verify_generalized_fan(K6, GeneralizedFanEmbedding((0, 6), ((), ())), 1),
+         "vertex 6 out of range"),
+        (lambda: verify_generalized_fan(K6, GeneralizedFanEmbedding((0, 1), ((),)), 1),
+         "blade lists misaligned with base"),
+        (lambda: verify_fan(K6, FanEmbedding(6, ((1, 2),)), FanShape(1, 3)), "center 6 out of range"),
+        (lambda: verify_fan(K6, FanEmbedding(0, ((1, 6),)), FanShape(1, 3)), "vertex 6 out of range"),
+        (lambda: verify_fan(K6, FanEmbedding(0, ((1, -1),)), FanShape(1, 3)), "vertex -1 out of range"),
+    ],
+    ids=[
+        "gfan-empty-base", "gfan-duplicate-base", "gfan-base-out-of-range", "gfan-misaligned",
+        "fan-center-out-of-range", "fan-blade-out-of-range", "fan-blade-negative",
+    ],
+)
+def test_verifier_rejection_reasons(check, reason):
+    assert check() == reason

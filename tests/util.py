@@ -1,5 +1,6 @@
 """Small graph builders shared across the test modules."""
 
+from cliquefan.finder import HypothesisViolation
 from cliquefan.graphs import Graph
 
 PETERSEN_EDGES = [
@@ -28,3 +29,16 @@ def star(leaves: int) -> Graph:
 def wheel4() -> Graph:
     """Hub 0 plus the 4-cycle 1-2-3-4."""
     return Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)])
+
+
+def empty_witness_rotation(rotate_clique):
+    """``rotate_clique`` with each extension failure reported as an empty
+    large independent set, a witness that ``check_violation`` rejects."""
+
+    def rotate(g, clique, r, eps, alpha_bound, **kwargs):
+        res = rotate_clique(g, clique, r, eps, alpha_bound, **kwargs)
+        if isinstance(res, HypothesisViolation) and res.kind == "clique-extension-failure":
+            return HypothesisViolation("large-independent-set", (), 0, alpha_bound)
+        return res
+
+    return rotate
