@@ -1,14 +1,16 @@
 """Brute-force oracles at desk scale.
 
 This module is the independent baseline for every search path in the
-package, so it deliberately shares no algorithm with them: containment
-is checked by raw injection backtracking, independence by subset
-enumeration, and extremal values by scanning integer-coded edge sets in
-ascending order. Witness ties always resolve to the smallest edge code.
+package, so it deliberately shares no algorithm with them. On one graph,
+containment is checked by raw injection backtracking and independence by
+subset enumeration; extremal values come from one array scan of edge
+codes against every placement of the pattern and of K_{cap+1}. Witness
+ties always resolve to the smallest edge code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import permutations
 
@@ -31,20 +33,15 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def graph_from_code(n: int, code: int) -> Graph:
-    if not 0 <= code < (1 << pair_count(n)):
-        raise ValueError("edge code out of range")
+    if n < 0 or not 0 <= code < (1 << pair_count(n)):
+        raise ValueError("order or edge code out of range")
     pairs = _pairs(n)
     masks = [0] * n
-    size = 0
-    m = code
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        m ^= low
+    for i in bits(code):
+        u, v = pairs[i]
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-        size += 1
-    return Graph._from_masks(n, masks, size)
+    return Graph._from_masks(n, masks, code.bit_count())
 
 
 def edge_code(g: Graph) -> int:
@@ -60,19 +57,12 @@ def brute_alpha(g: Graph) -> int:
     adj = g._adj
     best = 0
     for mask in range(1 << g.n):
-        if mask.bit_count() <= best:
-            continue
-        m = mask
-        ok = True
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if adj[v] & mask:
-                ok = False
-                break
-        if ok:
-            best = mask.bit_count()
+        if mask.bit_count() > best:
+            m = mask
+            while m and not adj[(m & -m).bit_length() - 1] & mask:
+                m &= m - 1
+            if not m:
+                best = mask.bit_count()
     return best
 
 
@@ -115,7 +105,6 @@ def naive_contains(g: Graph, pattern: Graph) -> bool:
                 image[i] = cand
                 if rec(i + 1, used | (1 << cand)):
                     return True
-                image[i] = -1
         return False
 
     return rec(0, 0)
@@ -137,9 +126,11 @@ def _pair_images(n: int) -> np.ndarray:
     return bit[perms[:, lo], perms[:, hi]]
 
 
-def _relabelings(table: np.ndarray, pair_ids: list[int]) -> np.ndarray:
+def _relabelings(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Edge code of the image of ``edges`` under each permutation of ``range(n)``."""
     # Distinct pairs move to distinct bits, so XOR assembles each code.
-    return np.bitwise_xor.reduce(table[:, pair_ids], axis=1)
+    pair_ids = [_pair_index(n, u, v) for u, v in edges]
+    return np.bitwise_xor.reduce(_pair_images(n)[:, pair_ids], axis=1)
 
 
 def canonical_code(g: Graph) -> int:
@@ -148,11 +139,9 @@ def canonical_code(g: Graph) -> int:
     Every relabeled code is read off the cached pair-image table in one
     vectorized pass over all n! permutations; exact by construction.
     """
-    n = g.n
-    if n > 8:
+    if g.n > 8:
         raise ValueError("canonical codes are only supported up to 8 vertices")
-    pair_ids = [_pair_index(n, u, v) for u, v in g.edges()]
-    return int(_relabelings(_pair_images(n), pair_ids).min())
+    return int(_relabelings(g.n, g.edges()).min())
 
 
 @lru_cache(maxsize=16)
@@ -170,17 +159,24 @@ def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
         raise ValueError("class enumeration is only supported up to 8 vertices")
     if n <= 1:
         return (0,)
-    table = _pair_images(n)
-    shifted = [_pair_index(n, u, v) for u, v in _pairs(n - 1)]
-    attach = [table[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
+    smaller = _pairs(n - 1)
+    attach = [_pair_images(n)[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
     seen: set[int] = set()
     for code in nonisomorphic_graph_codes(n - 1):
-        codes = _relabelings(table, [shifted[i] for i in bits(code)])
+        codes = _relabelings(n, [smaller[i] for i in bits(code)])
         seen.add(int(codes.min()))
         for step in range(1, 1 << (n - 1)):
             codes ^= attach[(step & -step).bit_length() - 1]
             seen.add(int(codes.min()))
     return tuple(sorted(seen))
+
+
+def _placements(n: int, order: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Distinct edge codes of the copies in ``range(n)`` of a graph on
+    ``range(order)``; every injection extends to a permutation."""
+    if order > n:
+        return []
+    return list(set(_relabelings(n, edges).tolist()))
 
 
 def exact_rt(
@@ -191,29 +187,33 @@ def exact_rt(
     when no graph qualifies. ``alpha_cap=None`` sets no cap, which gives
     ex(n, fan).
 
-    Exhaustive up to :data:`ENUMERATION_CEILING`, over every edge code
-    or, with ``iso_filter``, over one canonical code per isomorphism
-    class. The witness is the smallest-edge-code graph attaining the
-    maximum, which the class filter preserves because that graph is
-    canonical in its class.
+    Exhaustive up to :data:`ENUMERATION_CEILING`, over every edge code or,
+    with ``iso_filter``, one canonical code per isomorphism class. A code
+    holds the fan iff it covers a placement of it, and has α > cap iff it
+    shares no edge with a placement of K_{cap+1}. Edge counts are tested
+    from the top; the smallest survivor of the first count with one is
+    the witness, which is canonical in its class.
     """
+    if n < 0 or (alpha_cap is not None and alpha_cap < 0):
+        raise ValueError("order and independence cap must be non-negative")
     if n > ENUMERATION_CEILING:
         raise ValueError(f"order {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
     pattern, _ = fan_graph(shape)
-    codes = nonisomorphic_graph_codes(n) if iso_filter else range(1 << pair_count(n))
-    best_count, best_code = -1, None
-    for code in codes:
-        count = code.bit_count()
-        if count <= best_count:
-            continue
-        g = graph_from_code(n, code)
-        if alpha_cap is not None and brute_alpha(g) > alpha_cap:
-            continue
-        if not naive_contains(g, pattern):
-            best_count, best_code = count, code
-    if best_code is None:
-        return None
-    return best_count, graph_from_code(n, best_code)
+    codes = (np.array(nonisomorphic_graph_codes(n), dtype=np.uint64) if iso_filter
+             else np.arange(1 << pair_count(n), dtype=np.uint64))
+    tests = [(p, p) for p in _placements(n, pattern.n, pattern.edges())]
+    if alpha_cap is not None and alpha_cap < n:
+        tests += [(p, 0) for p in _placements(n, alpha_cap + 1, _pairs(alpha_cap + 1))]
+    counts = np.bitwise_count(codes)
+    for m in range(int(counts.max()), -1, -1):
+        group = codes[counts == m]
+        for mask, hit in tests:
+            if not group.size:
+                break
+            group = group[group & mask != hit]
+        if group.size:
+            return m, graph_from_code(n, int(group[0]))
+    return None
 
 
 def exact_ex(n: int, shape: FanShape, *, iso_filter: bool = False) -> tuple[int, Graph]:

@@ -173,6 +173,12 @@ class TestCommands:
         assert run_cli("rt", "6", "--k", "1", "--r", "3", "--alpha-cap", "2") == 0
         assert "infeasible" in capsys.readouterr().out
 
+    def test_negative_order_or_cap_exits_64(self, capsys):
+        for argv in (("ex", "-1"), ("rt", "5", "--alpha-cap", "-3")):
+            assert run_cli(*argv, "--k", "1", "--r", "3") == 64
+            captured = capsys.readouterr()
+            assert "non-negative" in captured.err and captured.out == ""
+
     def test_table_command(self, tmp_path):
         out = tmp_path / "table.tsv"
         assert run_cli("table", "--n", "10,20", "--r", "2", "--parts", "c5",

@@ -23,6 +23,26 @@ from util import complete, cycle, petersen
 TRIANGLE = FanShape(1, 3)
 
 
+def per_code_scan(n, shape, cap, iso):
+    """exact_rt one graph at a time: (value, witness code) or None.
+
+    Each code is built by graph_from_code and tested by brute_alpha and
+    naive_contains, so the raw scan shares no placement table with
+    exact_rt.
+    """
+    pattern, _ = fan_graph(shape)
+    best_count, best_code = -1, None
+    for code in nonisomorphic_graph_codes(n) if iso else range(1 << pair_count(n)):
+        if code.bit_count() <= best_count:
+            continue
+        g = graph_from_code(n, code)
+        if cap is not None and brute_alpha(g) > cap:
+            continue
+        if not naive_contains(g, pattern):
+            best_count, best_code = code.bit_count(), code
+    return None if best_code is None else (best_count, best_code)
+
+
 class TestNaiveContains:
     def test_complete_contains_cycle(self):
         assert naive_contains(complete(5), cycle(5))
@@ -102,6 +122,8 @@ class TestExactEx:
             for shape in (TRIANGLE, FanShape(2, 3), FanShape(1, 4)):
                 assert exact_ex(n, shape) == exact_ex(n, shape, iso_filter=True)
         assert exact_ex(6, TRIANGLE) == exact_ex(6, TRIANGLE, iso_filter=True)
+        for shape in (TRIANGLE, FanShape(2, 3), FanShape(1, 5)):
+            assert exact_ex(7, shape) == exact_ex(7, shape, iso_filter=True)
 
     def test_two_triangle_fan_value_frozen(self):
         # Frozen from the exhaustive reference run over all 2^15 graphs.
@@ -142,6 +164,27 @@ class TestExactRt:
     def test_iso_filter_matches_full_scan(self):
         for n in range(2, 6):
             assert exact_rt(n, TRIANGLE, 2) == exact_rt(n, TRIANGLE, 2, iso_filter=True)
+        assert exact_rt(7, TRIANGLE, 3) == exact_rt(7, TRIANGLE, 3, iso_filter=True)
+
+    def test_matches_per_code_reference_scan(self):
+        # Orders 0 and 1, fans larger than the host, caps of 0 and past n.
+        shapes = [FanShape(k, r) for k in (1, 2, 3) for r in (2, 3, 4, 5)]
+        for n in range(6):
+            for shape in shapes:
+                for cap in (None, *range(n + 2)):
+                    for iso in (False, True):
+                        want = per_code_scan(n, shape, cap, iso)
+                        got = exact_rt(n, shape, cap, iso_filter=iso)
+                        got = None if got is None else (got[0], edge_code(got[1]))
+                        assert got == want, (n, shape, cap, iso)
+
+    def test_negative_order_or_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            exact_rt(-1, TRIANGLE, None)
+        with pytest.raises(ValueError, match="non-negative"):
+            exact_rt(5, TRIANGLE, -1)
+        with pytest.raises(ValueError, match="out of range"):
+            graph_from_code(-1, 0)
 
 
 class TestReferenceTable:
