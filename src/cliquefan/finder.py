@@ -272,10 +272,9 @@ def rotate_clique(
 @dataclass(frozen=True)
 class DegreeBoundReport:
     """Outcome of the triangle-fan scan when no vertex carries k disjoint
-    triangles: per-vertex neighborhood matching numbers, plus the
-    independent set left unmatched in the densest neighborhood."""
+    triangles: the densest vertex and the independent set left unmatched
+    by a maximum matching of its neighborhood."""
 
-    nu_by_vertex: tuple[int, ...]
     densest_vertex: int | None
     independent_set: tuple[int, ...]
 
@@ -283,28 +282,25 @@ class DegreeBoundReport:
 def fan_at_vertex_r1(g: Graph, k: int):
     """Fan of k triangles through a single vertex, or a degree-bound report.
 
-    A center works exactly when its neighborhood holds k disjoint edges,
-    so the scan computes a maximum matching per neighborhood in
-    ascending vertex order. When no center works, every vertex obeys
-    d(x) <= alpha(G[N(x)]) + 2 (k - 1), and the report carries the
-    unmatched (hence independent) vertices of the densest neighborhood.
+    Centers go in ascending order; x works exactly when the matching
+    number nu of G[N(x)] reaches k, which the scan decides from nu <= d/2
+    and nu <= twice a greedy matching in N(x) first. When no center
+    works, every vertex obeys d(x) <= alpha(G[N(x)]) + 2 (k - 1), and the
+    report carries the unmatched (hence independent) vertices of the
+    densest neighborhood.
     """
     if k < 1:
         raise ValueError("fan needs at least one triangle")
-    nus = []
     for x in range(g.n):
-        nu, emb = _triangle_fan_at(g, x, k)
-        if emb is not None:
+        if emb := _triangle_fan_at(g, x, k):
             return emb
-        nus.append(nu)
     if g.n == 0:
-        return DegreeBoundReport((), None, ())
+        return DegreeBoundReport(None, ())
     densest = min(range(g.n), key=lambda v: (-g.degree(v), v))
-    sub, mapping = induced_subgraph(g, g.neighbors(densest))
-    back = {i: v for v, i in mapping.items()}
+    nb = g.neighbors(densest)  # ascending, as induced_subgraph numbers them
+    sub, _ = induced_subgraph(g, nb)
     unmatched = greedy_independent_from_matching(sub, max_matching(sub))
-    ind = tuple(sorted(back[i] for i in unmatched.members))
-    return DegreeBoundReport(tuple(nus), densest, ind)
+    return DegreeBoundReport(densest, tuple(nb[i] for i in unmatched.members))
 
 
 @dataclass(frozen=True)

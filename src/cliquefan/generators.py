@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -145,11 +145,7 @@ def rt_lower_construction(n: int, r: int, part_key: str = "c5") -> Graph:
         raise ValueError("need at least two parts")
     sizes = part_sizes(n, r)
     edges: list[tuple[int, int]] = []
-    start = 0
-    starts = []
-    for s in sizes:
-        starts.append(start)
-        start += s
+    starts = list(accumulate(sizes[:-1], initial=0))
     # Complete join between distinct parts.
     for part, other in combinations([range(a, a + s) for a, s in zip(starts, sizes)], 2):
         edges += product(part, other)
@@ -162,11 +158,8 @@ def rt_lower_construction(n: int, r: int, part_key: str = "c5") -> Graph:
             continue
         if part_key not in PART_CATALOG:
             raise ValueError(f"unknown part graph {part_key!r}")
+        catalogued_alpha(part_key, s)  # rejects a size the atom does not divide
         atom = PART_CATALOG[part_key]
-        if s % atom["order"]:
-            raise ValueError(
-                f"part size {s} incompatible with catalogued graph {part_key!r}"
-            )
         for copy in range(s // atom["order"]):
             base = off + copy * atom["order"]
             edges.extend((base + u, base + v) for u, v in atom["edges"])
@@ -199,12 +192,11 @@ def triangle_free_process(n: int, seed: int) -> Graph:
     """Seeded triangle-free process: visit all pairs in a random order,
     keeping each edge that closes no triangle."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    order = rng.permutation(len(pairs))
+    us, vs = np.triu_indices(n, 1)
+    order = rng.permutation(len(us))
     adj = [0] * n
     size = 0
-    for idx in order:
-        u, v = pairs[idx]
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
         if adj[u] & adj[v]:
             continue
         adj[u] |= 1 << v

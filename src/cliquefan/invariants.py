@@ -56,22 +56,34 @@ class BudgetExceeded(Exception):
         self.best = best
 
 
+def greedy_matching(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
+    """Maximal matching inside ``mask``, by ascending id: each exposed
+    vertex takes its smallest exposed neighbour. Pairs come as (v, u),
+    v < u; a maximal matching is at least half a maximum one."""
+    pairs = []
+    while mask:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        mask ^= low
+        if m := adj[v] & mask:
+            u = m & -m
+            pairs.append((v, u.bit_length() - 1))
+            mask ^= u
+    return pairs
+
+
 def max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching, exact via blossom contraction."""
-    n = g.n
+    n, adj = g.n, g._adj
     match = [-1] * n
-    # Greedy warm start keeps the augmenting phase short: each exposed
-    # vertex takes its smallest exposed neighbour.
-    adj, free = g._adj, (1 << n) - 1
-    for v in range(n):
-        m = adj[v] & free
-        if m and (free >> v) & 1:
-            u = (m & -m).bit_length() - 1
-            match[v], match[u] = u, v
-            free ^= (1 << v) | (1 << u)
-    for v in range(n):
-        # From an isolated root the forest never grows, so skip it.
-        if match[v] == -1 and g.neighbor_mask(v):
+    for v, u in greedy_matching(adj, (1 << n) - 1):  # warm start
+        match[v], match[u] = u, v
+    # Roots are the exposed non-isolated vertices. A root that fails never
+    # augments later (Edmonds 1965), so a path ends at a root after its
+    # own: a root with no exposed one after it is left alone.
+    roots = [v for v in range(n) if match[v] == -1 and adj[v]]
+    for i, v in enumerate(roots):
+        if match[v] == -1 and any(match[w] == -1 for w in roots[i + 1:]):
             _augment_from(g, v, match)
     edges = sorted((v, match[v]) for v in range(n) if match[v] > v)
     return Matching(tuple(edges))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .generators import FanShape
 from .graphs import Graph, induced_subgraph, is_clique, mask_from
-from .invariants import max_matching
+from .invariants import greedy_matching, max_matching
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,20 @@ def _cliques_within(adj: tuple[int, ...], avail: int, size: int):
     yield from rec(avail)
 
 
-def _triangle_fan_at(g: Graph, center: int, k: int) -> tuple[int, FanEmbedding | None]:
-    """Matching number of the neighborhood of ``center`` and, when it
-    reaches ``k``, the fan of k triangles through ``center``."""
-    nbhd = g.neighbors(center)
-    sub, mapping = induced_subgraph(g, nbhd)
-    back = {i: v for v, i in mapping.items()}
-    mm = max_matching(sub)
+def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
+    """The fan of k triangles through ``center``, or None when its
+    neighborhood holds fewer than k disjoint edges (nu < k). Two exact
+    bounds settle most centers on the host's masks: nu <= d/2, and
+    nu <= 2 |greedy matching|. A maximum matching of the induced
+    neighborhood decides the rest and gives the blades."""
+    nbhd = g._adj[center]
+    if nbhd.bit_count() < 2 * k or 2 * len(greedy_matching(g._adj, nbhd)) < k:
+        return None
+    nb = g.neighbors(center)  # ascending, as induced_subgraph numbers them
+    mm = max_matching(induced_subgraph(g, nb)[0])
     if len(mm) < k:
-        return len(mm), None
-    blades = sorted(tuple(sorted((back[a], back[b]))) for a, b in mm.edges)
-    return len(mm), FanEmbedding(center, tuple(blades[:k]))
+        return None
+    return FanEmbedding(center, tuple((nb[a], nb[b]) for a, b in mm.edges[:k]))
 
 
 def find_fan(g: Graph, shape: FanShape) -> FanEmbedding | None:
@@ -93,11 +96,7 @@ def find_fan(g: Graph, shape: FanShape) -> FanEmbedding | None:
     if shape.vertex_count > g.n:
         return None
     if r == 3:
-        for x in range(g.n):
-            _, emb = _triangle_fan_at(g, x, k)
-            if emb is not None:
-                return emb
-        return None
+        return next(filter(None, (_triangle_fan_at(g, x, k) for x in range(g.n))), None)
     adj = g._adj
     for x in range(g.n):
         if g.degree(x) < (r - 1) * k:

@@ -26,7 +26,11 @@ from cliquefan.generators import (
     turan_graph,
 )
 from cliquefan.graphs import Graph, bits, induced_subgraph, is_clique, is_independent, min_degree
-from cliquefan.invariants import max_independent_set
+from cliquefan.invariants import (
+    greedy_independent_from_matching,
+    max_independent_set,
+    max_matching,
+)
 from cliquefan.oracle import graph_from_code, pair_count
 from cliquefan.witness import FanEmbedding, find_fan, verify_fan
 from util import complete, cycle, empty_witness_rotation, petersen, star, wheel4
@@ -264,9 +268,53 @@ class TestFanAtVertexR1:
         assert len(rep.independent_set) == 99
 
     def test_petersen_is_triangle_free(self):
-        rep = fan_at_vertex_r1(petersen(), 1)
-        assert isinstance(rep, DegreeBoundReport)
-        assert rep.nu_by_vertex == (0,) * 10
+        g = petersen()
+        assert fan_at_vertex_r1(g, 1) == DegreeBoundReport(0, (1, 4, 5))
+        assert all(is_independent(g, g.neighbors(x)) for x in range(g.n))
+
+    def test_screen_matches_the_matching_scan(self):
+        # Reference: a maximum matching of every neighbourhood, in order.
+        def reference(g, k):
+            for x in range(g.n):
+                sub, mapping = induced_subgraph(g, g.neighbors(x))
+                back = {i: v for v, i in mapping.items()}
+                mm = max_matching(sub)
+                d, greedy = g.degree(x), 0
+                free = set(g.neighbors(x))
+                for v in g.neighbors(x):
+                    u = min((u for u in free if u != v and g.has_edge(u, v)), default=None)
+                    if v in free and u is not None:
+                        free -= {u, v}
+                        greedy += 1
+                if d < 2 * k:
+                    hit.add("d < 2k")
+                elif 2 * greedy < k:
+                    hit.add("2g < k")
+                else:
+                    hit.add("full, nu >= k" if len(mm) >= k else "full, nu < k")
+                if len(mm) >= k:
+                    blades = sorted(tuple(sorted((back[a], back[b]))) for a, b in mm.edges)
+                    return FanEmbedding(x, tuple(blades[:k]))
+            if g.n == 0:
+                return DegreeBoundReport(None, ())
+            x = min(range(g.n), key=lambda v: (-g.degree(v), v))
+            sub, mapping = induced_subgraph(g, g.neighbors(x))
+            back = {i: v for v, i in mapping.items()}
+            left = greedy_independent_from_matching(sub, max_matching(sub)).members
+            return DegreeBoundReport(x, tuple(sorted(back[i] for i in left)))
+
+        hosts = [gnp_random(4 + s % 20, (0.2, 0.4, 0.6, 0.8)[s % 4], 91_000 + s) for s in range(60)]
+        for a in (4, 6, 9):
+            bipartite = [(u, v) for u in range(a) for v in range(a, 2 * a)]
+            for m in range(a // 2 + 1):
+                hosts.append(Graph(2 * a, bipartite + [(2 * i, 2 * i + 1) for i in range(m)]))
+        hit: set[str] = set()
+        for g in hosts:
+            for k in range(1, max(map(g.degree, range(g.n)), default=0) // 2 + 2):
+                want = reference(g, k)
+                assert fan_at_vertex_r1(g, k) == want
+                assert find_fan(g, FanShape(k, 3)) == (want if isinstance(want, FanEmbedding) else None)
+        assert hit == {"d < 2k", "2g < k", "full, nu < k", "full, nu >= k"}
 
     def test_degree_bound_from_report(self):
         # Wherever no fan exists, d(x) <= alpha(N(x)) + 2 (k - 1).

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cliquefan.generators import (
@@ -196,3 +197,24 @@ def test_triangle_free_process_is_triangle_free():
         g = triangle_free_process(16, seed)
         assert find_clique(g, 3) is None
         assert g == triangle_free_process(16, seed)
+
+
+def test_triangle_free_process_matches_the_pair_list_reference():
+    # The process once walked a Python list of all pairs; the graph must
+    # be the same bit for bit.
+    def reference(n, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        adj = [0] * n
+        for idx in rng.permutation(len(pairs)):
+            u, v = pairs[idx]
+            if not adj[u] & adj[v]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        return adj
+
+    for n in (0, 1, 2, 3, 7, 40, 257, 300):
+        for seed in (0, 5, 2**32 - 1):
+            g = triangle_free_process(n, seed)
+            assert g._adj == tuple(reference(n, seed))
+            assert g.size == sum(m.bit_count() for m in g._adj) // 2

@@ -7,7 +7,9 @@ from cliquefan.graphs import Graph, bits, induced_subgraph, is_independent, mask
 from cliquefan.invariants import (
     BudgetExceeded,
     Matching,
+    _augment_from,
     greedy_independent_from_matching,
+    greedy_matching,
     max_independent_set,
     max_matching,
 )
@@ -68,6 +70,42 @@ class TestMaxMatching:
             assert all(g.has_edge(u, v) for u, v in mm.edges)
             covered = mm.covered()
             assert len(covered) == len(set(covered))
+
+
+    def test_edges_match_the_loop_over_every_root(self):
+        # The matching loop skips a root with no exposed root after it;
+        # the edges must equal those of the loop that tries every root.
+        def every_root(g):
+            n, match = g.n, [-1] * g.n
+            free = (1 << n) - 1
+            for v in range(n):
+                m = g.neighbor_mask(v) & free
+                if m and (free >> v) & 1:
+                    u = (m & -m).bit_length() - 1
+                    match[v], match[u] = u, v
+                    free ^= (1 << v) | (1 << u)
+            for v in range(n):
+                if match[v] == -1 and g.neighbor_mask(v):
+                    _augment_from(g, v, match)
+            return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
+
+        for seed in range(320):
+            n = 5 + seed % 24
+            g = gnp_random(n, (0.05, 0.15, 0.3, 0.6, 0.9)[seed % 5], 7900 + seed)
+            assert max_matching(g).edges == every_root(g), f"seed={seed}"
+
+    def test_greedy_matching_is_maximal_within_its_mask(self):
+        for seed in range(100):
+            g = gnp_random(20, (0.1, 0.3, 0.6)[seed % 3], 8200 + seed)
+            mask = random.Random(seed).getrandbits(20)
+            pairs = greedy_matching(g._adj, mask)
+            covered = mask_from(v for e in pairs for v in e)
+            assert all(v < u and g.has_edge(v, u) for v, u in pairs)
+            assert covered & mask == covered and len(pairs) * 2 == covered.bit_count()
+            rest = mask & ~covered
+            assert all(not g.neighbor_mask(v) & rest for v in bits(rest))
+            sub, _ = induced_subgraph(g, list(bits(mask)))
+            assert len(pairs) <= len(max_matching(sub)) <= 2 * len(pairs)
 
 
 class TestMaxIndependentSet:
