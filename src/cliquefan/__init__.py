@@ -2,7 +2,6 @@
 
 from .finder import (
     DegreeBoundReport,
-    DensityParams,
     HypothesisViolation,
     SearchCertificate,
     SearchInvariantError,
@@ -29,11 +28,9 @@ from .generators import (
 )
 from .graphs import (
     Graph,
-    common_neighbors,
     induced_subgraph,
     is_clique,
     is_independent,
-    min_degree,
 )
 from .invariants import (
     BudgetExceeded,

@@ -14,7 +14,6 @@ from contextlib import nullcontext
 
 from . import generators, graphio, invariants, oracle
 from .finder import (
-    DensityParams,
     HypothesisViolation,
     SearchInvariantError,
     find_odd_fan,
@@ -68,7 +67,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("find-fan", help="search for k odd cliques through one vertex")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help="blades are K_{2r+1}; 1 means triangles")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--cert", help="certificate file (default: stdout)")
 
@@ -92,13 +91,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ex", help="exhaustive fan-free extremal edge count")
     p.add_argument("n", type=int)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help="blades are K_r; 3 means triangles")
     p.set_defaults(alpha_cap=None)
 
     p = sub.add_parser("rt", help="extremal edge count under an independence cap")
     p.add_argument("n", type=int)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help="blades are K_r; 3 means triangles")
     p.add_argument("--alpha-cap", type=int, required=True)
 
     p = sub.add_parser("table", help="lower-bound construction audit table")
@@ -174,7 +173,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_peel(args) -> int:
     g = _load_graph(args.graph)
-    res = peel_dense_subgraph(g, DensityParams(args.beta, args.eps, args.c))
+    res = peel_dense_subgraph(g, args.beta, args.eps, args.c)
     if isinstance(res, HypothesisViolation):
         print(f"violation: {res.kind} (edges {res.observed} <= {res.threshold})")
         return EX_VIOLATION

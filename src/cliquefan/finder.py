@@ -15,6 +15,7 @@ making every run reproducible.
 
 from __future__ import annotations
 
+import marshal
 import math
 from dataclasses import dataclass, fields
 from typing import Any
@@ -43,23 +44,6 @@ from .witness import (
 class SearchInvariantError(RuntimeError):
     """An internal invariant of the augmentation loop broke; this is a
     bug trap, never an expected outcome."""
-
-
-@dataclass(frozen=True)
-class DensityParams:
-    """Peeling constants: edge-density coefficient, slack, and retention."""
-
-    beta: float
-    eps: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError("beta must lie in (0, 1/2)")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if not (self.c > 0.0 and self.c * self.c < self.beta * self.eps):
-            raise ValueError("retention constant must satisfy 0 < c < sqrt(beta * eps)")
 
 
 @dataclass(frozen=True)
@@ -110,9 +94,11 @@ def check_violation(g: Graph, violation: HypothesisViolation) -> bool:
     raise ValueError(f"unknown violation kind {kind!r}")
 
 
-def peel_dense_subgraph(g: Graph, params: DensityParams):
+def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     """Iteratively drop the smallest-id vertex not strictly above the
     density threshold 2 beta (1 + eps/2) times the surviving order.
+
+    Needs 0 < beta < 1/2, 0 < eps < 1 and 0 < c < sqrt(beta eps).
 
     On success the survivors S satisfy |S| > c n and every surviving
     degree inside S strictly exceeds the threshold at |S|. If the
@@ -125,12 +111,16 @@ def peel_dense_subgraph(g: Graph, params: DensityParams):
     so a vertex turns violator only by losing a neighbour, and a heap
     re-queueing it then would pop the same vertex at every step.
     """
+    if not 0.0 < beta < 0.5:
+        raise ValueError("beta must lie in (0, 1/2)")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if not (c > 0.0 and c * c < beta * eps):
+        raise ValueError("retention constant must satisfy 0 < c < sqrt(beta * eps)")
     n = g.n
-    coef = 2.0 * params.beta * (1.0 + params.eps / 2.0)
-    cn = params.c * n
-    deficiency = HypothesisViolation(
-        "edge-deficiency", (), g.size, params.beta * (1.0 + params.eps) * n * n
-    )
+    coef = 2.0 * beta * (1.0 + eps / 2.0)
+    cn = c * n
+    deficiency = HypothesisViolation("edge-deficiency", (), g.size, beta * (1.0 + eps) * n * n)
     if n == 0:
         return deficiency
     deg = np.array([mask.bit_count() for mask in g._adj], np.int64)
@@ -441,7 +431,7 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     if r == 1:
         return _find_odd_fan_r1(g, k, eps, cert)
 
-    peeled = peel_dense_subgraph(g, DensityParams(th.peel_beta, th.peel_eps, th.peel_c))
+    peeled = peel_dense_subgraph(g, th.peel_beta, th.peel_eps, th.peel_c)
     if isinstance(peeled, HypothesisViolation):
         return _finish_violation(cert, peeled)
     cert.steps.append({"kind": "peel", "survivors": list(peeled)})
@@ -554,12 +544,9 @@ def replay_certificate(g: Graph, cert: SearchCertificate) -> bool:
     _, fresh = find_odd_fan(
         g, int(cert.input["k"]), int(cert.input["r"]), float(cert.input["eps"])
     )
-    return (
-        fresh.input == cert.input
-        and fresh.thresholds == cert.thresholds
-        and fresh.steps == cert.steps
-        and fresh.outcome == cert.outcome
-    )
+    # Bytes, not ==, since 0 == 0.0 == False. marshal version 0 has no interning
+    # or shared references, so only values and types count (json.dumps: 5x cost).
+    return marshal.dumps(vars(fresh), 0) == marshal.dumps(vars(cert), 0)
 
 
 def verify_certificate(g: Graph, cert: SearchCertificate) -> str | None:

@@ -184,26 +184,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return Graph._from_masks(len(vs), masks, int(np.count_nonzero(sub)) // 2), mapping
 
 
-def min_degree(g: Graph) -> tuple[int, int]:
-    """Vertex of minimum degree and its degree; ties go to the smallest id."""
-    if g.n == 0:
-        raise ValueError("minimum degree of the empty graph is undefined")
-    d, v = min((g.degree(v), v) for v in range(g.n))
-    return v, d
-
-
-def common_neighbors(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """Vertices outside ``vertices`` adjacent to every member of it."""
-    vs = vertex_set(g, vertices)
-    if not vs:
-        raise ValueError("common neighborhood of the empty set is the whole graph; pass vertices")
-    m = (1 << g.n) - 1
-    for v in vs:
-        m &= g.neighbor_mask(v)
-    m &= ~mask_from(vs)
-    return tuple(bits(m))
-
-
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     vs = vertex_set(g, vertices)
     m = mask_from(vs)

@@ -30,9 +30,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def covered(self) -> tuple[int, ...]:
-        return tuple(sorted(v for e in self.edges for v in e))
-
 
 @dataclass(frozen=True)
 class IndependentSet:

@@ -66,22 +66,6 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
-def brute_nu(g: Graph) -> int:
-    """Matching number by backtracking over the edge list."""
-    edge_list = list(g.edges())
-
-    def rec(i: int, used: int) -> int:
-        best = 0
-        for j in range(i, len(edge_list)):
-            u, v = edge_list[j]
-            if (used >> u) & 1 or (used >> v) & 1:
-                continue
-            best = max(best, 1 + rec(j + 1, used | (1 << u) | (1 << v)))
-        return best
-
-    return rec(0, 0)
-
-
 def naive_contains(g: Graph, pattern: Graph) -> bool:
     """True when some injection of the pattern maps edges onto edges.
 
@@ -131,17 +115,6 @@ def _relabelings(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
     # Distinct pairs move to distinct bits, so XOR assembles each code.
     pair_ids = [_pair_index(n, u, v) for u, v in edges]
     return np.bitwise_xor.reduce(_pair_images(n)[:, pair_ids], axis=1)
-
-
-def canonical_code(g: Graph) -> int:
-    """Minimum edge code over all vertex relabelings.
-
-    Every relabeled code is read off the cached pair-image table in one
-    vectorized pass over all n! permutations; exact by construction.
-    """
-    if g.n > 8:
-        raise ValueError("canonical codes are only supported up to 8 vertices")
-    return int(_relabelings(g.n, g.edges()).min())
 
 
 @lru_cache(maxsize=16)

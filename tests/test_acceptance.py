@@ -8,7 +8,6 @@ import math
 
 from cliquefan.cli import main as cli_main
 from cliquefan.finder import (
-    DensityParams,
     HypothesisViolation,
     check_violation,
     fan_at_vertex_r1,
@@ -25,7 +24,7 @@ from cliquefan.generators import (
     rt_lower_construction,
     turan_graph,
 )
-from cliquefan.graphs import induced_subgraph, is_clique, is_independent, min_degree
+from cliquefan.graphs import induced_subgraph, is_clique, is_independent
 from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import exact_ex, exact_rt, graph_from_code, naive_contains, pair_count
 from cliquefan.witness import FanEmbedding, find_clique, find_fan, verify_fan
@@ -97,15 +96,14 @@ def test_criterion_3_peeling_postconditions():
         cases.append((5000, 0.8, 0.35, 0.1, 0.15, 400 + i))
     assert len(cases) == 100
     for n, p, beta, eps, c, seed in cases:
-        params = DensityParams(beta, eps, c)
         assert c * c < beta * eps
         g = gnp_random(n, p, 3_000_000 + seed)
         assert g.size >= beta * n * n * (1 + eps), "sample misses the edge hypothesis"
-        res = peel_dense_subgraph(g, params)
+        res = peel_dense_subgraph(g, beta, eps, c)
         assert isinstance(res, tuple), "peel failed on a qualifying graph"
         assert len(res) > c * n
         sub, _ = induced_subgraph(g, res)
-        assert min_degree(sub)[1] > 2 * beta * (1 + eps / 2) * len(res)
+        assert min(map(sub.degree, range(sub.n))) > 2 * beta * (1 + eps / 2) * len(res)
     _report(3, "peel succeeded with both strict inequalities on all 100 graphs")
 
 

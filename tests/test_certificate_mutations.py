@@ -1,6 +1,7 @@
 """``cliquefan verify`` must reject a certificate that differs from what
 the search produces in any one place: a moved vertex, a dropped step, a
-changed observed value or a changed threshold."""
+changed observed value, a changed threshold or an integer written as a
+float or a bool."""
 
 import copy
 import json
@@ -139,4 +140,19 @@ def test_changed_threshold_is_rejected(corpus, data, value):
     container, key = data.draw(st.sampled_from(places))
     assume(value != _decoded(container[key]))
     container[key] = _encoded(value)
+    assert _verify(corpus, i, payload) == 1
+
+
+@MUTATION_SETTINGS
+@given(data=st.data())
+def test_int_as_float_or_bool_is_rejected(corpus, data):
+    # Python's 0 == 0.0 == False; the search only ever writes the int.
+    i = data.draw(st.integers(0, len(HOSTS) - 1))
+    payload = copy.deepcopy(corpus[0][i][1])
+    slots = _vertex_slots(payload) + [
+        (payload["input"], "n"), (payload["input"], "edges"), (payload["thresholds"], "deletion_bound")
+    ]
+    container, key = slots[data.draw(st.integers(0, len(slots) - 1))]
+    value = container[key]
+    container[key] = data.draw(st.sampled_from([float(value)] + [bool(value)] * (value in (0, 1))))
     assert _verify(corpus, i, payload) == 1

@@ -20,6 +20,7 @@ from util import complete, empty_witness_rotation, petersen
 
 REFERENCE_TSV = Path(cli.__file__).parent / "data" / "reference_values.tsv"
 MISSING = object()
+TOO_LONG = "1" + "0" * 4999  # an int past Python's 4,300-digit limit, as text
 
 
 def run_cli(*argv) -> int:
@@ -290,6 +291,7 @@ class TestCommands:
             ("outcome", "threshold", "abc"),
             ("input", "n", "25"),  # only float fields are decoded
             pytest.param("input", "eps", MISSING, id="input-eps-missing"),
+            pytest.param("input", "k", TOO_LONG, id="input-k-5000-digits"),
         ],
     )
     def test_malformed_certificate_exits_65(self, tmp_path, capsys, field, key, value):
@@ -303,7 +305,10 @@ class TestCommands:
             del target[key]
         else:
             target[key] = value
-        cpath.write_text(json.dumps(payload))
+        text = json.dumps(payload)
+        if value is TOO_LONG:  # json.dumps cannot write the int, so unquote the text
+            text = text.replace(f'"{TOO_LONG}"', TOO_LONG)
+        cpath.write_text(text)
         capsys.readouterr()
         assert run_cli("verify", gpath, str(cpath)) == 65
         err = capsys.readouterr().err

@@ -7,7 +7,6 @@ import pytest
 from cliquefan import finder
 from cliquefan.finder import (
     DegreeBoundReport,
-    DensityParams,
     HypothesisViolation,
     check_violation,
     extend_clique,
@@ -25,7 +24,7 @@ from cliquefan.generators import (
     rt_lower_construction,
     turan_graph,
 )
-from cliquefan.graphs import Graph, bits, induced_subgraph, is_clique, is_independent, min_degree
+from cliquefan.graphs import Graph, bits, induced_subgraph, is_clique, is_independent
 from cliquefan.invariants import (
     greedy_independent_from_matching,
     max_independent_set,
@@ -36,24 +35,22 @@ from cliquefan.witness import FanEmbedding, find_fan, verify_fan
 from util import complete, cycle, empty_witness_rotation, petersen, star, wheel4
 
 
-class TestDensityParams:
-    def test_validation(self):
-        DensityParams(0.3, 0.5, 0.3)
-        with pytest.raises(ValueError):
-            DensityParams(0.6, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            DensityParams(0.3, 1.5, 0.1)
-        with pytest.raises(ValueError):
-            DensityParams(0.3, 0.5, 0.4)  # c >= sqrt(beta eps)
-
-
 class TestPeel:
+    def test_validation(self):
+        for beta, eps, c, msg in (
+            (0.6, 0.5, 0.1, "beta must lie"),
+            (0.3, 1.5, 0.1, "eps must lie"),
+            (0.3, 0.5, 0.4, "retention constant"),  # c >= sqrt(beta eps)
+        ):
+            with pytest.raises(ValueError, match=msg):
+                peel_dense_subgraph(complete(10), beta, eps, c)
+
     def test_complete_graph_survives_whole(self):
-        res = peel_dense_subgraph(complete(10), DensityParams(0.3, 0.5, 0.3))
+        res = peel_dense_subgraph(complete(10), 0.3, 0.5, 0.3)
         assert res == tuple(range(10))
 
     def test_star_is_edge_deficient(self):
-        res = peel_dense_subgraph(star(99), DensityParams(0.3, 0.5, 0.3))
+        res = peel_dense_subgraph(star(99), 0.3, 0.5, 0.3)
         assert isinstance(res, HypothesisViolation)
         assert res.kind == "edge-deficiency"
         assert res.observed == 99
@@ -61,53 +58,50 @@ class TestPeel:
 
     def test_dense_random_graph_postconditions(self):
         g = gnp_random(500, 0.8, 7)
-        p = DensityParams(0.35, 0.1, 0.15)
-        assert g.size >= p.beta * g.n * g.n * (1 + p.eps)
-        res = peel_dense_subgraph(g, p)
+        beta, eps, c = 0.35, 0.1, 0.15
+        assert g.size >= beta * g.n * g.n * (1 + eps)
+        res = peel_dense_subgraph(g, beta, eps, c)
         assert isinstance(res, tuple)
-        assert len(res) > p.c * g.n
+        assert len(res) > c * g.n
         sub, _ = induced_subgraph(g, res)
-        assert min_degree(sub)[1] > 2 * p.beta * (1 + p.eps / 2) * len(res)
+        assert min(map(sub.degree, range(sub.n))) > 2 * beta * (1 + eps / 2) * len(res)
 
     def test_deterministic(self):
         g = gnp_random(60, 0.4, 19)
-        p = DensityParams(0.15, 0.4, 0.2)
-        assert peel_dense_subgraph(g, p) == peel_dense_subgraph(g, p)
+        assert peel_dense_subgraph(g, 0.15, 0.4, 0.2) == peel_dense_subgraph(g, 0.15, 0.4, 0.2)
 
     def test_matches_the_heap_peel(self):
         def params(n, r, eps):
             th = search_thresholds(n, 2, r, eps)
-            return DensityParams(th.peel_beta, th.peel_eps, th.peel_c)
+            return th.peel_beta, th.peel_eps, th.peel_c
 
         core = turan_graph(480, 5)
         planted = Graph(600, list(core.edges()) + [
             e for e in gnp_random(600, 0.02, 5).edges() if not (e[0] < 480 and e[1] < 480)
         ])
         cases = [
-            (gnp_random(800, 0.58, 1), params(800, 2, 0.2)),
-            (gnp_random(700, 0.75, 2), params(700, 3, 0.2)),
-            (planted, params(600, 2, 0.2)),
+            (gnp_random(800, 0.58, 1), *params(800, 2, 0.2)),
+            (gnp_random(700, 0.75, 2), *params(700, 3, 0.2)),
+            (planted, *params(600, 2, 0.2)),
         ]
         for i in range(200):
             n, r, p = 8 + i % 47, 2 + i % 2, (0.5, 0.7, 0.85, 0.95)[i % 4]
-            cases.append((gnp_random(n, p, 9_000_000 + i), params(n, r, 0.3)))
+            cases.append((gnp_random(n, p, 9_000_000 + i), *params(n, r, 0.3)))
         outcomes = set()
-        for g, p in cases:
-            got = peel_dense_subgraph(g, p)
-            assert got == heap_peel(g, p)
+        for case in cases:
+            got = peel_dense_subgraph(*case)
+            assert got == heap_peel(*case)
             outcomes.add(type(got))
         assert outcomes == {tuple, HypothesisViolation}
         assert isinstance(peel_dense_subgraph(*cases[0]), HypothesisViolation)
         assert len(peel_dense_subgraph(*cases[2])) == 480
 
 
-def heap_peel(g: Graph, params: DensityParams):
+def heap_peel(g: Graph, beta: float, eps: float, c: float):
     """The peel as a heap of candidates, re-queued when they lose a neighbour."""
     n = g.n
-    coef = 2.0 * params.beta * (1.0 + params.eps / 2.0)
-    deficiency = HypothesisViolation(
-        "edge-deficiency", (), g.size, params.beta * (1.0 + params.eps) * n * n
-    )
+    coef = 2.0 * beta * (1.0 + eps / 2.0)
+    deficiency = HypothesisViolation("edge-deficiency", (), g.size, beta * (1.0 + eps) * n * n)
     if n == 0:
         return deficiency
     deg = [g.degree(v) for v in range(n)]
@@ -119,7 +113,7 @@ def heap_peel(g: Graph, params: DensityParams):
             continue
         alive[v] = 0
         m -= 1
-        if m <= params.c * n:
+        if m <= c * n:
             return deficiency
         for u in bits(g.neighbor_mask(v)):
             if alive[u]:
@@ -140,7 +134,7 @@ class TestCheckViolation:
 
     def test_edge_deficiency_has_no_vertices(self):
         g = star(99)
-        res = peel_dense_subgraph(g, DensityParams(0.3, 0.5, 0.3))
+        res = peel_dense_subgraph(g, 0.3, 0.5, 0.3)
         assert check_violation(g, res)
         assert not check_violation(g, replace(res, vertices=(0,)))
         assert not check_violation(g, replace(res, vertices=(3, 5)))

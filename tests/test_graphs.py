@@ -2,17 +2,15 @@ import random
 
 import pytest
 
-from cliquefan.generators import gnp_random, rt_lower_construction
+from cliquefan.generators import gnp_random
 from cliquefan.graphs import (
     Graph,
-    common_neighbors,
     induced_subgraph,
     is_clique,
     is_independent,
-    min_degree,
     vertex_set,
 )
-from util import complete, cycle, petersen, star
+from util import complete, cycle, petersen
 
 
 class TestConstruction:
@@ -125,46 +123,6 @@ class TestInducedSubgraphKernel:
             assert lo % 8 != 0
             self.assert_same(g, range(lo, lo + 20))
             self.assert_same(g, [lo, lo + 1, 89])
-
-
-class TestMinDegree:
-    def test_complete(self):
-        assert min_degree(complete(5)) == (0, 4)
-
-    def test_star_tie_breaks_to_smallest_leaf(self):
-        assert min_degree(star(4)) == (1, 1)
-
-    def test_petersen_regular(self):
-        assert min_degree(petersen()) == (0, 3)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            min_degree(Graph(0))
-
-
-class TestCommonNeighbors:
-    def test_complete(self):
-        assert common_neighbors(complete(5), [0, 1]) == (2, 3, 4)
-
-    def test_cycle_has_no_triangle(self):
-        assert common_neighbors(cycle(5), [0, 1]) == ()
-
-    def test_complete_tripartite(self):
-        g = rt_lower_construction(9, 3, "empty")  # parts {0,1,2}, {3,4,5}, {6,7,8}
-        assert common_neighbors(g, [0, 3]) == (6, 7, 8)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            common_neighbors(complete(3), [])
-
-    def test_result_disjoint_from_input(self):
-        for seed in range(30):
-            g = gnp_random(8, 0.5, 100 + seed)
-            if g.size == 0:
-                continue
-            u, v = next(g.edges())
-            hit = common_neighbors(g, [u, v])
-            assert not set(hit) & {u, v}
 
 
 def test_membership_predicates():

@@ -13,8 +13,8 @@ from cliquefan.invariants import (
     max_independent_set,
     max_matching,
 )
-from cliquefan.oracle import brute_alpha, brute_nu, graph_from_code, pair_count
-from util import complete, cycle, petersen, star
+from cliquefan.oracle import brute_alpha, graph_from_code, pair_count
+from util import brute_nu, complete, cycle, petersen, star
 
 
 class TestMaxMatching:
@@ -24,7 +24,7 @@ class TestMaxMatching:
     def test_perfect_on_k4(self):
         mm = max_matching(complete(4))
         assert len(mm) == 2
-        assert mm.covered() == (0, 1, 2, 3)
+        assert sorted(v for e in mm.edges for v in e) == [0, 1, 2, 3]
 
     def test_petersen_perfect(self):
         assert len(max_matching(petersen())) == 5
@@ -55,7 +55,7 @@ class TestMaxMatching:
             g = Graph(n, [(place[u], place[v]) for u, v in core.edges()])
             mm = max_matching(g)
             assert len(mm) == brute_nu(g), f"seed={seed}"
-            assert set(mm.covered()) <= set(place)
+            assert {v for e in mm.edges for v in e} <= set(place)
 
     def test_dense_graphs_match_brute_force(self):
         # Dense neighbourhoods lean hardest on the greedy warm start.
@@ -68,7 +68,7 @@ class TestMaxMatching:
             g = gnp_random(12, 0.5, 500 + seed)
             mm = max_matching(g)
             assert all(g.has_edge(u, v) for u, v in mm.edges)
-            covered = mm.covered()
+            covered = [v for e in mm.edges for v in e]
             assert len(covered) == len(set(covered))
 
 

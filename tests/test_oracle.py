@@ -1,14 +1,10 @@
-import random
 from importlib import resources
-from itertools import permutations
 
 import pytest
 
 from cliquefan.generators import FanShape, fan_graph, gnp_random, rt_lower_construction
-from cliquefan.graphs import Graph
 from cliquefan.oracle import (
     brute_alpha,
-    canonical_code,
     edge_code,
     exact_ex,
     exact_rt,
@@ -18,7 +14,7 @@ from cliquefan.oracle import (
     pair_count,
 )
 from cliquefan.witness import find_clique, find_fan
-from util import complete, cycle, petersen
+from util import complete, cycle, min_code, petersen
 
 TRIANGLE = FanShape(1, 3)
 
@@ -68,42 +64,19 @@ class TestNaiveContains:
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
         k22 = rt_lower_construction(4, 2, "empty")
-        assert canonical_code(k22) == canonical_code(cycle(4))
-        assert canonical_code(complete(4)) == (1 << pair_count(4)) - 1
+        assert min_code(k22) == min_code(cycle(4))
+        assert min_code(complete(4)) == (1 << pair_count(4)) - 1
 
     def test_class_counts(self):
         # Known numbers of unlabeled simple graphs (OEIS A000088).
         for n, want in ((2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)):
             assert len(nonisomorphic_graph_codes(n)) == want
 
-    def test_matches_brute_force_minimum(self):
-        def brute(g):
-            return min(
-                edge_code(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-                for perm in permutations(range(g.n))
-            )
-
-        for n in range(2, 7):
-            for seed in range(12):
-                g = gnp_random(n, (0.3, 0.5, 0.7)[seed % 3], 31_000 + 100 * n + seed)
-                assert canonical_code(g) == brute(g), (n, seed)
-        for seed in range(3):
-            g = gnp_random(7, 0.5, 32_000 + seed)
-            assert canonical_code(g) == brute(g), seed
-
-    def test_relabeled_order_eight_graphs_share_a_code(self):
-        for seed in range(4):
-            g = gnp_random(8, 0.5, 33_000 + seed)
-            perm = random.Random(seed).sample(range(8), 8)
-            h = Graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert h != g
-            assert canonical_code(h) == canonical_code(g)
-
     def test_codes_are_canonical_and_sorted(self):
         codes = nonisomorphic_graph_codes(4)
         assert list(codes) == sorted(codes)
         for code in codes:
-            assert canonical_code(graph_from_code(4, code)) == code
+            assert min_code(graph_from_code(4, code)) == code
 
 
 class TestExactEx:
@@ -154,7 +127,7 @@ class TestExactRt:
         assert value == 5
         assert witness.size == 5
         assert brute_alpha(witness) == 2
-        assert canonical_code(witness) == canonical_code(cycle(5))
+        assert min_code(witness) == min_code(cycle(5))
 
     def test_inactive_cap_reduces_to_ex(self):
         assert exact_rt(4, TRIANGLE, 4)[0] == exact_ex(4, TRIANGLE)[0] == 4

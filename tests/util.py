@@ -1,7 +1,10 @@
-"""Small graph builders shared across the test modules."""
+"""Small graph builders and brute-force references shared across the test modules."""
+
+from itertools import permutations
 
 from cliquefan.finder import HypothesisViolation
 from cliquefan.graphs import Graph
+from cliquefan.oracle import edge_code
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -42,3 +45,27 @@ def empty_witness_rotation(rotate_clique):
         return res
 
     return rotate
+
+
+def min_code(g: Graph) -> int:
+    """Minimum edge code over all relabelings, one graph per permutation."""
+    return min(
+        edge_code(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+        for perm in permutations(range(g.n))
+    )
+
+
+def brute_nu(g: Graph) -> int:
+    """Matching number by backtracking over the edge list."""
+    edge_list = list(g.edges())
+
+    def rec(i: int, used: int) -> int:
+        best = 0
+        for j in range(i, len(edge_list)):
+            u, v = edge_list[j]
+            if (used >> u) & 1 or (used >> v) & 1:
+                continue
+            best = max(best, 1 + rec(j + 1, used | (1 << u) | (1 << v)))
+        return best
+
+    return rec(0, 0)
