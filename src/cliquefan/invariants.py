@@ -3,9 +3,10 @@
 Both solvers are exact and deterministic: ties are broken by smallest
 vertex id everywhere, so a fixed graph always yields the same witness.
 The independence solver splits the graph into components and co-components,
-then runs branch and bound with a greedy clique-cover upper bound on each
-part that splits neither way; the matching solver is a full augmenting-path
-search with blossom contraction, so odd cycles are handled correctly.
+then runs branch and bound on each part that splits neither way, cut by a
+first-fit clique cover built one class at a time; the matching solver is a
+full augmenting-path search with blossom contraction, so odd cycles are
+handled correctly.
 """
 
 from __future__ import annotations
@@ -155,11 +156,13 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
 
     Alpha of a disjoint union is the sum over its components, and alpha of
     a join the maximum over its co-components (ties to the smallest id).
-    Each part that splits neither way gets branch and bound over bitmasks
-    with a greedy clique-cover bound, all parts sharing one expansion
-    budget; a connected, co-connected graph keeps the unsplit witness.
-    Raises :class:`BudgetExceeded` when the budget runs out; without an
-    explicit budget the order must not exceed :data:`EXACT_SOLVE_CEILING`.
+    Each part that splits neither way gets branch and bound over bitmasks,
+    all parts sharing one expansion budget; a connected, co-connected graph
+    keeps the unsplit witness. A node is cut when the first-fit clique cover
+    of its candidates, built one greedy clique at a time, is no larger than
+    what it can still gain. Raises :class:`BudgetExceeded` when the budget
+    runs out and ``ValueError`` when it is negative; without an explicit
+    budget the order must not exceed :data:`EXACT_SOLVE_CEILING`.
     """
     if budget is None:
         if g.n > EXACT_SOLVE_CEILING:
@@ -168,6 +171,8 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
                 "pass an explicit budget to force the search"
             )
         budget = DEFAULT_BUDGET
+    elif budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
     adj = g._adj
     full = (1 << g.n) - 1
 
@@ -219,21 +224,18 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
                 break
         return mask_from(v for _, v in order[lo:hi + 1]), kept
 
-    def cover_bound(mask: int) -> int:
-        covers: list[int] = []
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            row = adj[v]
-            for i, cm in enumerate(covers):
-                if cm & ~row == 0:
-                    covers[i] = cm | low
-                    break
-            else:
-                covers.append(low)
-        return len(covers)
+    def covered(mask: int, limit: int) -> bool:
+        # Whether first-fit by ascending id covers mask with at most limit
+        # cliques, one class at a time: class i, the greedy clique of what
+        # classes 1..i-1 left, is where first-fit puts each of its members.
+        while mask and limit > 0:
+            limit -= 1
+            q = mask
+            while q:
+                low = q & -q
+                mask ^= low
+                q &= adj[low.bit_length() - 1]
+        return not mask
 
     expansions = 0
 
@@ -251,15 +253,11 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
                     best_size = size
                     best_mask = chosen
                 return
-            if size + cover_bound(mask) <= best_size:
+            if covered(mask, best_size - size):
                 return
             # Branch on the candidate of maximum residual degree, smallest id first.
             pick, pick_deg = -1, -1
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
+            for v in bits(mask):
                 d = (adj[v] & mask).bit_count()
                 if d > pick_deg:
                     pick, pick_deg = v, d

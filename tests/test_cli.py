@@ -329,6 +329,19 @@ class TestCommands:
         assert "best independent set so far has size" in err
         assert "raise --budget" in err
 
+    def test_negative_budget_exits_64(self, tmp_path, capsys):
+        # The split alone solves the table's host, so only the budget
+        # check can refuse it.
+        assert run_cli("table", "--n", "10", "--r", "2", "--parts", "tf-process:1",
+                       "--budget", "-1") == 64
+        captured = capsys.readouterr()
+        assert "negative" in captured.err and captured.out == ""
+        assert run_cli("table", "--n", "10", "--r", "2", "--parts", "tf-process:1",
+                       "--budget", "0") == 0
+        gpath = write_graph_file(tmp_path, gnp_random(20, 0.5, 1))
+        assert run_cli("alpha", gpath, "--budget", "-1") == 64
+        assert "negative" in capsys.readouterr().err
+
     def test_internal_invariant_failure_exits_70(self, tmp_path, monkeypatch):
         from cliquefan import cli as cli_module
         from cliquefan.finder import SearchInvariantError

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from cliquefan.generators import gnp_random, rt_lower_construction
+from cliquefan.generators import gnp_random, rt_lower_construction, triangle_free_process
 from cliquefan.graphs import Graph, bits, induced_subgraph, is_independent, mask_from
 from cliquefan.invariants import (
     BudgetExceeded,
+    IndependentSet,
     Matching,
     _augment_from,
     greedy_independent_from_matching,
@@ -182,6 +183,11 @@ def connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if not g.has_edge(u, v)])
+
+
 def components(g: Graph, mask: int, flip: int) -> list[int]:
     """Components of G[mask], or of its complement if flip = -1, by least id."""
     found = []
@@ -207,18 +213,30 @@ def split_reference(g: Graph, mask: int) -> int:
             found = [split_reference(g, p) for p in parts]
             return sum(found) if flip == 0 else max(found, key=int.bit_count)
     vs = list(bits(mask))
-    return mask_from(vs[i] for i in unsplit_search(induced_subgraph(g, vs)[0]))
+    return mask_from(vs[i] for i in unsplit_search(induced_subgraph(g, vs)[0])[0])
 
 
-def unsplit_search(g: Graph) -> tuple[int, ...]:
-    """The branch and bound run on the whole graph, without any split."""
-    adj, n = g._adj, g.n
-    best_mask, m = 0, (1 << n) - 1
-    while m:
-        low = m & -m
-        best_mask |= low
-        m &= ~(adj[low.bit_length() - 1] | low)
+def unsplit_search(g: Graph, budget: int | None = None) -> tuple[tuple[int, ...], int]:
+    """The branch and bound run on the whole graph, without any split, with
+    the first-fit clique cover built vertex by vertex, each vertex tried
+    against every class so far: the witness and the number of node
+    expansions. Past ``budget`` expansions it raises BudgetExceeded with
+    the best set so far, extended by ascending id to a maximal one."""
+    adj, full = g._adj, (1 << g.n) - 1
+
+    def greedy(chosen):
+        m = full
+        for v in bits(chosen):
+            m &= ~adj[v]
+        while m:
+            low = m & -m
+            chosen |= low
+            m &= ~(adj[low.bit_length() - 1] | low)
+        return chosen
+
+    best_mask = greedy(0)
     best = [best_mask, best_mask.bit_count()]
+    expansions = 0
 
     def cover_bound(mask):
         covers = []
@@ -232,6 +250,10 @@ def unsplit_search(g: Graph) -> tuple[int, ...]:
         return len(covers)
 
     def rec(mask, size, chosen):
+        nonlocal expansions
+        expansions += 1
+        if budget is not None and expansions > budget:
+            raise BudgetExceeded(IndependentSet(tuple(bits(greedy(best[0])))))
         if mask == 0:
             if size > best[1]:
                 best[:] = [chosen, size]
@@ -243,8 +265,8 @@ def unsplit_search(g: Graph) -> tuple[int, ...]:
         rec(mask & ~(adj[pick] | bit), size + 1, chosen | bit)
         rec(mask & ~bit, size, chosen)
 
-    rec((1 << n) - 1, 0, 0)
-    return tuple(bits(best[0]))
+    rec(full, 0, 0)
+    return tuple(bits(best[0])), expansions
 
 
 class TestComponentSplit:
@@ -284,11 +306,9 @@ class TestComponentSplit:
         checked = 0
         for seed in range(150):
             g = gnp_random(8 + seed % 20, (0.3, 0.5, 0.7)[seed % 3], 53_000 + seed)
-            co = Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                             if not g.has_edge(u, v)])
-            if connected(g) and connected(co):
+            if connected(g) and connected(complement(g)):
                 checked += 1
-                assert max_independent_set(g).members == unsplit_search(g), f"seed={seed}"
+                assert max_independent_set(g).members == unsplit_search(g)[0], f"seed={seed}"
         assert checked >= 50
 
     def test_budget_runs_out_in_a_later_component(self):
@@ -343,6 +363,61 @@ class TestComponentSplit:
         ind = max_independent_set(g, budget=10_000)
         assert len(ind) == 16
         assert is_independent(g, ind.members)
+
+
+class TestLeafBound:
+    def hosts(self):
+        for seed in range(60):
+            g = gnp_random(8 + seed % 33, (0.3, 0.5, 0.7)[seed % 3], 55_000 + seed)
+            if connected(g) and connected(complement(g)):
+                yield g
+        for n in (40, 50, 60, 70):
+            for seed in (1, 2):
+                g = triangle_free_process(n, seed)
+                assert connected(g) and connected(complement(g))
+                yield g
+
+    def test_cover_built_by_class_keeps_the_tree(self):
+        # Same witness within exactly the reference's expansions, and the
+        # same best set one expansion short: the same tree, not only alpha.
+        checked = 0
+        for g in self.hosts():
+            want, count = unsplit_search(g)
+            assert max_independent_set(g, budget=count).members == want, list(g.edges())
+            with pytest.raises(BudgetExceeded) as ref:
+                unsplit_search(g, budget=count - 1)
+            with pytest.raises(BudgetExceeded) as got:
+                max_independent_set(g, budget=count - 1)
+            assert got.value.best == ref.value.best, list(g.edges())
+            checked += 1
+        assert checked >= 40
+
+    def test_negative_budget_is_rejected(self):
+        # The split alone solves this host, so budget 0 is enough for it.
+        g = rt_lower_construction(10, 2, "tf-process:1")
+        assert len(max_independent_set(g, budget=0)) == len(max_independent_set(g))
+        for host in (g, gnp_random(30, 0.4, 3)):
+            with pytest.raises(ValueError, match="negative"):
+                max_independent_set(host, budget=-1)
+
+
+class TestAlphaAtPaperScale:
+    def test_triangle_free_process_matches_networkx(self):
+        import networkx as nx
+
+        for n, seed in ((60, 1), (60, 2), (80, 1)):
+            g = triangle_free_process(n, seed)
+            ind = max_independent_set(g, budget=10**7)
+            assert is_independent(g, ind.members)
+            co = nx.Graph(complement(g).edges())
+            co.add_nodes_from(range(n))
+            clique, size = nx.max_weight_clique(co, weight=None)
+            assert len(ind) == size == len(clique), (n, seed)
+
+    def test_alpha_of_the_roadmap_hosts(self):
+        assert len(max_independent_set(triangle_free_process(100, 1), budget=10**7)) == 23
+        g = rt_lower_construction(200, 2, "tf-process:1")
+        assert len(max_independent_set(g, budget=10**7)) == 25
 
 
 class TestMatchingIndependenceInequality:
