@@ -5,7 +5,6 @@ from .finder import (
     HypothesisViolation,
     SearchCertificate,
     SearchInvariantError,
-    ThresholdRecord,
     check_violation,
     extend_clique,
     fan_at_vertex_r1,
@@ -35,7 +34,6 @@ from .graphs import (
 from .invariants import (
     BudgetExceeded,
     IndependentSet,
-    Matching,
     greedy_independent_from_matching,
     max_independent_set,
     max_matching,
@@ -43,7 +41,6 @@ from .invariants import (
 from .witness import (
     FanEmbedding,
     GeneralizedFanEmbedding,
-    find_clique,
     find_fan,
     verify_fan,
     verify_generalized_fan,

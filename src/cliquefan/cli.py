@@ -191,7 +191,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_matching(args) -> int:
     g = _load_graph(args.graph)
     mm = invariants.max_matching(g)
-    pairs = " ".join(f"{u}-{v}" for u, v in mm.edges)
+    pairs = " ".join(f"{u}-{v}" for u, v in mm)
     print(f"nu {len(mm)}: {pairs}")
     return EX_OK
 

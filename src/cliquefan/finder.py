@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import marshal
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -233,25 +233,18 @@ def rotate_clique(
     if common:
         v = (common & -common).bit_length() - 1
         return tuple(sorted(d + (v,)))
-    s, dmask = len(d), mask_from(d)
-    buckets: dict[int, list[int]] = {v: [] for v in d}
+    dmask, adj = mask_from(d), g._adj
+    buckets = dict.fromkeys(d, 0)
     for w in bits(mask & ~dmask):
-        row = g.neighbor_mask(w) & dmask
-        if row.bit_count() == s - 1:
-            missed = (dmask & ~row).bit_length() - 1
-            buckets[missed].append(w)
-    for v in d:
-        group = buckets[v]
-        for i, x in enumerate(group):
-            row = g.neighbor_mask(x)
-            for y in group[i + 1:]:
-                if (row >> y) & 1:
-                    return tuple(sorted(set(d) - {v} | {x, y}))
-    best = d[0]
-    for v in d[1:]:
-        if len(buckets[v]) > len(buckets[best]):
-            best = v
-    witness = tuple(buckets[best])
+        missed = dmask & ~adj[w]
+        if missed and not missed & (missed - 1):
+            buckets[missed.bit_length() - 1] |= 1 << w
+    for v, bucket in buckets.items():
+        # The first x with a neighbour in its bucket has none below it.
+        for x in bits(bucket):
+            if nb := adj[x] & bucket:
+                return tuple(sorted(set(d) - {v} | {x, (nb & -nb).bit_length() - 1}))
+    witness = tuple(bits(max(buckets.values(), key=int.bit_count)))
     if len(witness) <= alpha_bound:
         return HypothesisViolation("clique-extension-failure", d, 0, 1.0, within_t)
     return HypothesisViolation(
@@ -293,40 +286,21 @@ def fan_at_vertex_r1(g: Graph, k: int):
     return DegreeBoundReport(densest, tuple(nb[i] for i in unmatched.members))
 
 
-@dataclass(frozen=True)
-class ThresholdRecord:
-    """Single source of truth for the constants the search derives.
+def search_thresholds(n: int, k: int, r: int, eps: float) -> dict[str, Any]:
+    """The constants the search derives, as the certificate records them.
 
     The prose around the density argument is not self-consistent about
-    signs and slacks, so this record pins one workable scheme: peeling
-    uses beta = (1 - 1/r)/2 with slack eps r/(r - 1), which makes the
-    edge hypothesis (1 - 1/r + eps) n^2/2 equal beta (1 + slack) n^2 and
-    leaves the peeled core with minimum degree above
-    (1 - 1/r + eps/2) times its order, comfortably implying the clique
-    steps' (1 - 1/r + eps/3) bound. Retention is fixed at 90% of its
-    strict supremum sqrt(beta * slack) = sqrt(eps/2). Both candidate
-    independence bounds are recorded; the global delta guards the
-    global hypothesis while eps/4 only enters the rotation counting.
+    signs and slacks, so this pins one workable scheme: peeling uses
+    beta = (1 - 1/r)/2 with slack eps r/(r - 1), which makes the edge
+    hypothesis (1 - 1/r + eps) n^2/2 equal beta (1 + slack) n^2 and
+    leaves the peeled core with minimum degree above (1 - 1/r + eps/2)
+    times its order, comfortably implying the clique steps'
+    (1 - 1/r + eps/3) bound. Retention is fixed at 90% of its strict
+    supremum sqrt(beta * slack) = sqrt(eps/2). Both candidate
+    independence bounds are recorded; the global delta guards the global
+    hypothesis while eps/4 only enters the rotation counting. The peel_*
+    entries are None for r = 1, which peels nothing.
     """
-
-    n: int
-    k: int
-    r: int
-    eps: float
-    delta: float
-    edge_threshold: float
-    degree_coef: float
-    rotation_delta: float
-    deletion_bound: int
-    alpha_bound: float
-    alpha_bound_alt: float
-    peel_beta: float | None
-    peel_eps: float | None
-    peel_c: float | None
-    peel_degree_coef: float | None
-
-
-def search_thresholds(n: int, k: int, r: int, eps: float) -> ThresholdRecord:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if n < 0 or k < 1 or r < 1:
@@ -341,23 +315,19 @@ def search_thresholds(n: int, k: int, r: int, eps: float) -> ThresholdRecord:
         peel_degree_coef = 2.0 * peel_beta * (1.0 + peel_eps / 2.0)
     else:
         peel_beta = peel_eps = peel_c = peel_degree_coef = None
-    return ThresholdRecord(
-        n=n,
-        k=k,
-        r=r,
-        eps=eps,
-        delta=delta,
-        edge_threshold=(1.0 - 1.0 / r + eps) * n * n / 2.0,
-        degree_coef=1.0 - 1.0 / r + eps / 3.0,
-        rotation_delta=eps / 4.0,
-        deletion_bound=2 * r * (k - 1) * (r + 1) + (r + 1),
-        alpha_bound=delta * n,
-        alpha_bound_alt=math.sqrt(eps) / 5.0 * n,
-        peel_beta=peel_beta,
-        peel_eps=peel_eps,
-        peel_c=peel_c,
-        peel_degree_coef=peel_degree_coef,
-    )
+    return {
+        "delta": delta,
+        "edge_threshold": (1.0 - 1.0 / r + eps) * n * n / 2.0,
+        "degree_coef": 1.0 - 1.0 / r + eps / 3.0,
+        "rotation_delta": eps / 4.0,
+        "deletion_bound": 2 * r * (k - 1) * (r + 1) + (r + 1),
+        "alpha_bound": delta * n,
+        "alpha_bound_alt": math.sqrt(eps) / 5.0 * n,
+        "peel_beta": peel_beta,
+        "peel_eps": peel_eps,
+        "peel_c": peel_c,
+        "peel_degree_coef": peel_degree_coef,
+    }
 
 
 @dataclass
@@ -373,11 +343,6 @@ class SearchCertificate:
     thresholds: dict[str, Any]
     steps: list[dict[str, Any]]
     outcome: dict[str, Any]
-
-
-def _threshold_dict(th: ThresholdRecord) -> dict[str, Any]:
-    """The derived constants in field order, without the inputs n, k, r, eps."""
-    return {f.name: getattr(th, f.name) for f in fields(th)[4:]}
 
 
 def _violation_dict(v: HypothesisViolation) -> dict[str, Any]:
@@ -410,67 +375,61 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     Returns ``(outcome, certificate)`` where the outcome is either a
     verified :class:`FanEmbedding` or a :class:`HypothesisViolation`.
     For r = 1 the triangle scan answers directly. Otherwise: peel to a
-    dense core, seed an (r+1)-clique by repeated extension, then loop:
-    delete all blade vertices, rotate the base r times up to a K_{2r+1}
-    and attach it as a new blade of the earliest base vertex it retained;
-    once that vertex owns k blades, done; otherwise shrink the base to
-    that prefix and re-extend it to r+1 vertices. The count
-    tuple rises strictly in lexicographic order each time, which caps
-    the loop at k^(r+1) iterations; exceeding the cap is a bug, not a
-    legitimate outcome.
+    dense core, then loop, starting from an empty base: in the core minus
+    every blade vertex, extend the base to r+1 vertices, rotate it r times
+    up to a K_{2r+1} and attach that as a new blade of the earliest base
+    vertex it retained; once that vertex owns k blades, done; otherwise
+    shrink the base to that prefix. The count tuple rises strictly in
+    lexicographic order each time, which caps the loop at k^(r+1)
+    iterations; exceeding the cap is a bug, not a legitimate outcome.
 
     Requires eps < (r - 1)/r for r >= 2 so the peeling slack stays valid.
     """
     th = search_thresholds(g.n, k, r, eps)
     cert = SearchCertificate(
         input={"n": g.n, "edges": g.size, "k": k, "r": r, "eps": eps},
-        thresholds=_threshold_dict(th),
+        thresholds=th,
         steps=[],
         outcome={},
     )
     if r == 1:
         return _find_odd_fan_r1(g, k, eps, cert)
 
-    peeled = peel_dense_subgraph(g, th.peel_beta, th.peel_eps, th.peel_c)
+    peeled = peel_dense_subgraph(g, th["peel_beta"], th["peel_eps"], th["peel_c"])
     if isinstance(peeled, HypothesisViolation):
         return _finish_violation(cert, peeled)
     cert.steps.append({"kind": "peel", "survivors": list(peeled)})
     pool = set(peeled)
 
-    seed: list[int] = []
-    for _ in range(r + 1):
-        res = extend_clique(g, seed, r, eps, within=pool)
-        if isinstance(res, HypothesisViolation):
-            return _finish_violation(cert, res)
-        seed.append(res)
-        cert.steps.append({"kind": "extend", "added": res, "clique": sorted(seed)})
-
-    base: list[int] = sorted(seed)
-    blades: dict[int, list[tuple[int, ...]]] = {v: [] for v in base}
+    base: list[int] = []
+    blades: dict[int, list[tuple[int, ...]]] = {}
     prev_tuple: tuple[int, ...] = ()
     for _ in range(k ** (r + 1) + 1):
+        free = pool - {v for lst in blades.values() for b in lst for v in b}
+        while len(base) < r + 1:
+            res = extend_clique(g, base, r, eps, within=free)
+            if isinstance(res, HypothesisViolation):
+                return _finish_violation(cert, res)
+            base.append(res)
+            blades[res] = []
+            cert.steps.append({"kind": "extend", "added": res, "clique": sorted(base)})
+
         order = sorted(base, key=lambda v: (-len(blades[v]), v))
         ks = tuple(len(blades[v]) for v in order)
         if not prev_tuple < ks:
             raise SearchInvariantError(f"fan tuple failed to increase: {prev_tuple} -> {ks}")
         prev_tuple = ks
-        current = GeneralizedFanEmbedding(
-            tuple(order), tuple(tuple(blades[v]) for v in order)
-        )
+        current = GeneralizedFanEmbedding(tuple(order), tuple(tuple(blades[v]) for v in order))
         reason = verify_generalized_fan(g, current, r)
         if reason is not None:
             raise SearchInvariantError(f"intermediate fan invalid: {reason}")
 
-        blade_vertices = {v for lst in blades.values() for b in lst for v in b}
-        h_pool = pool - blade_vertices
-        rotated: tuple[int, ...] = tuple(sorted(base))
+        rotated = tuple(sorted(base))
         for _ in range(r):
-            res = rotate_clique(g, rotated, r, eps, th.alpha_bound, within=h_pool)
+            res = rotate_clique(g, rotated, r, eps, th["alpha_bound"], within=free)
             if isinstance(res, HypothesisViolation):
                 return _finish_violation(cert, res)
-            cert.steps.append(
-                {"kind": "rotate", "from": list(rotated), "to": list(res)}
-            )
+            cert.steps.append({"kind": "rotate", "from": list(rotated), "to": list(res)})
             rotated = res
 
         kept = set(rotated)
@@ -495,24 +454,14 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
             }
         )
         if len(blades[v_s]) >= k:
-            # Done already; re-extending the base first could starve on
-            # a host with no vertices to spare.
+            # Done before the next pass re-extends the base, which could
+            # starve on a host with no vertices to spare.
             emb = FanEmbedding(v_s, tuple(blades[v_s]))
             reason = verify_fan(g, emb, FanShape(k, 2 * r + 1))
             if reason is not None:
                 raise SearchInvariantError(f"final embedding rejected: {reason}")
             cert.outcome = _embedding_dict(emb)
             return emb, cert
-
-        blade_vertices = {v for lst in blades.values() for b in lst for v in b}
-        star_pool = pool - blade_vertices
-        while len(base) < r + 1:
-            res = extend_clique(g, base, r, eps, within=star_pool)
-            if isinstance(res, HypothesisViolation):
-                return _finish_violation(cert, res)
-            base.append(res)
-            blades[res] = []
-            cert.steps.append({"kind": "extend", "added": res, "clique": sorted(base)})
     raise SearchInvariantError("augmentation exceeded its iteration cap")
 
 

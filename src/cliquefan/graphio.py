@@ -165,7 +165,7 @@ def certificate_to_json(cert: SearchCertificate) -> str:
 def certificate_from_json(text: str) -> SearchCertificate:
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge int, deep nesting
         raise GraphFormatError(f"bad certificate JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "cliquefan-certificate-v1":
         raise GraphFormatError("not a cliquefan certificate")

@@ -23,16 +23,6 @@ DEFAULT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges, each stored as (u, v) with u < v."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
 class IndependentSet:
     members: tuple[int, ...]
 
@@ -70,8 +60,9 @@ def greedy_matching(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def max_matching(g: Graph) -> Matching:
-    """Maximum-cardinality matching, exact via blossom contraction."""
+def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Maximum-cardinality matching, exact via blossom contraction, as its
+    edges (u, v), u < v, in ascending order."""
     n, adj = g.n, g._adj
     match = [-1] * n
     for v, u in greedy_matching(adj, (1 << n) - 1):  # warm start
@@ -83,8 +74,7 @@ def max_matching(g: Graph) -> Matching:
     for i, v in enumerate(roots):
         if match[v] == -1 and any(match[w] == -1 for w in roots[i + 1:]):
             _augment_from(g, v, match)
-    edges = sorted((v, match[v]) for v in range(n) if match[v] > v)
-    return Matching(tuple(edges))
+    return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
 
 
 def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
@@ -295,7 +285,7 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
     return IndependentSet(tuple(bits(found[0])))
 
 
-def greedy_independent_from_matching(g: Graph, m: Matching) -> IndependentSet:
+def greedy_independent_from_matching(g: Graph, m: tuple[tuple[int, int], ...]) -> IndependentSet:
     """Vertices missed by a maximal matching; they form an independent set
     of size exactly ``n - 2 |m|``.
 
@@ -303,7 +293,7 @@ def greedy_independent_from_matching(g: Graph, m: Matching) -> IndependentSet:
     (some edge of ``g`` joins two unmatched vertices).
     """
     seen: set[int] = set()
-    for u, v in m.edges:
+    for u, v in m:
         if not g.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
         if u in seen or v in seen:

@@ -35,13 +35,6 @@ class GeneralizedFanEmbedding:
     blades_by_center: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def find_clique(g: Graph, q: int) -> tuple[int, ...] | None:
-    """Lexicographically first q-clique as a sorted tuple, or None."""
-    if q < 1:
-        raise ValueError("clique size must be positive")
-    return next(_cliques_within(g._adj, (1 << g.n) - 1, q), None)
-
-
 def _cliques_within(adj: tuple[int, ...], avail: int, size: int):
     """Yield all ``size``-cliques inside the ``avail`` mask as ascending
     tuples, in lexicographic order."""
@@ -80,7 +73,7 @@ def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
     mm = max_matching(induced_subgraph(g, nb)[0])
     if len(mm) < k:
         return None
-    return FanEmbedding(center, tuple((nb[a], nb[b]) for a, b in mm.edges[:k]))
+    return FanEmbedding(center, tuple((nb[a], nb[b]) for a, b in mm[:k]))
 
 
 def find_fan(g: Graph, shape: FanShape) -> FanEmbedding | None:

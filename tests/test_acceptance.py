@@ -27,7 +27,7 @@ from cliquefan.generators import (
 from cliquefan.graphs import induced_subgraph, is_clique, is_independent
 from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import exact_ex, exact_rt, graph_from_code, naive_contains, pair_count
-from cliquefan.witness import FanEmbedding, find_clique, find_fan, verify_fan
+from cliquefan.witness import FanEmbedding, find_fan, verify_fan
 
 
 def _report(num: int, text: str) -> None:
@@ -172,7 +172,7 @@ def test_criterion_7_lower_bound_construction_audit(tmp_path):
     orders = [10, 20, 30, 40, 50, 60]
     for n in orders:
         g = rt_lower_construction(n, 2, "c5")
-        assert find_clique(g, 5) is None
+        assert find_fan(g, FanShape(1, 5)) is None
         part = n // 2
         expected_alpha = catalogued_alpha("c5", part)  # 2 per pentagon copy
         assert expected_alpha == 2 * (part // 5)

@@ -316,6 +316,21 @@ class TestCommands:
         if value is MISSING:
             assert f"certificate missing field: '{key}'" in err
 
+    def test_deeply_nested_certificate_exits_65(self, tmp_path, capsys):
+        gpath = write_graph_file(tmp_path, turan_graph(25, 5))
+        cpath = tmp_path / "cert.json"
+        assert run_cli("find-fan", gpath, "--k", "2", "--r", "2", "--eps", "0.2",
+                       "--cert", str(cpath)) == 0
+        payload = json.loads(cpath.read_text())
+        payload["steps"] = "NESTED"
+        nested = "[" * 100_000 + "]" * 100_000
+        cpath.write_text(json.dumps(payload).replace('"NESTED"', nested))
+        capsys.readouterr()
+        assert run_cli("verify", gpath, str(cpath)) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad certificate JSON: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_non_ascii_graph_file_exits_65(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes("p 2 1\ne 0 1 # caf\u00e9\n".encode("utf-8"))

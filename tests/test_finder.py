@@ -73,7 +73,7 @@ class TestPeel:
     def test_matches_the_heap_peel(self):
         def params(n, r, eps):
             th = search_thresholds(n, 2, r, eps)
-            return th.peel_beta, th.peel_eps, th.peel_c
+            return th["peel_beta"], th["peel_eps"], th["peel_c"]
 
         core = turan_graph(480, 5)
         planted = Graph(600, list(core.edges()) + [
@@ -237,10 +237,65 @@ class TestRotateClique:
         with pytest.raises(ValueError):
             rotate_clique(complete(3), (), 1, 0.3, 0.01)
 
+    def test_mask_buckets_match_the_list_buckets(self):
+        hosts = [(gnp_random(n, p, 4_400 + n), r) for n in range(8, 41, 4)
+                 for p in (0.5, 0.7, 0.85, 0.95) for r in (1, 2, 3)]
+        hosts += [(turan_graph(n, q), r) for n in (9, 16, 25) for q in (2, 3, 5) for r in (2, 3)]
+        hosts += [(rt_lower_construction(5 * r * m, r, parts), r)
+                  for m in (1, 2, 3) for r in (2, 3) for parts in ("c5", "empty")]
+        seen = set()
+        for i, (g, r) in enumerate(hosts):
+            for size in range(1, 2 * r + 1):
+                for start in range(0, g.n, 3):
+                    d = _greedy_clique(g, size, start)
+                    if d is None:
+                        continue
+                    outside = {v for v in range(g.n) if v % 3 != i % 3}
+                    for within in (None, outside | set(d)):
+                        for alpha_bound in (0.0, 2.0):
+                            args = (g, d, r, 0.3, alpha_bound)
+                            kw = {"within": within, "degree_threshold": 0.0}
+                            got = rotate_clique(*args, **kw)
+                            assert got == list_bucket_rotation(*args, **kw), (i, d, within)
+                            seen.add(got.kind if isinstance(got, HypothesisViolation) else
+                                     "swap" if set(d) - set(got) else "common")
+        assert seen == {"common", "swap", "large-independent-set", "clique-extension-failure"}
 
-def _greedy_clique(g, size):
+
+def list_bucket_rotation(g, clique, r, eps, alpha_bound, *, within=None, degree_threshold=None):
+    """The rotation with one ascending vertex list per bucket, scanned
+    pair by pair: the reference for the bitmask buckets."""
+    step = finder._clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
+    if isinstance(step, HypothesisViolation):
+        return step
+    d, mask, common, within_t = step
+    if common:
+        return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
+    dmask = sum(1 << v for v in d)
+    buckets = {v: [] for v in d}
+    for w in bits(mask & ~dmask):
+        row = g.neighbor_mask(w) & dmask
+        if row.bit_count() == len(d) - 1:
+            buckets[(dmask & ~row).bit_length() - 1].append(w)
+    for v in d:
+        group = buckets[v]
+        for i, x in enumerate(group):
+            for y in group[i + 1:]:
+                if g.has_edge(x, y):
+                    return tuple(sorted(set(d) - {v} | {x, y}))
+    best = d[0]
+    for v in d[1:]:
+        if len(buckets[v]) > len(buckets[best]):
+            best = v
+    witness = tuple(buckets[best])
+    if len(witness) <= alpha_bound:
+        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, within_t)
+    return HypothesisViolation("large-independent-set", witness, len(witness), alpha_bound)
+
+
+def _greedy_clique(g, size, start=0):
     clique: list[int] = []
-    for v in range(g.n):
+    for v in (*range(start, g.n), *range(start)):
         if all(g.has_edge(v, u) for u in clique):
             clique.append(v)
             if len(clique) == size:
@@ -287,7 +342,7 @@ class TestFanAtVertexR1:
                 else:
                     hit.add("full, nu >= k" if len(mm) >= k else "full, nu < k")
                 if len(mm) >= k:
-                    blades = sorted(tuple(sorted((back[a], back[b]))) for a, b in mm.edges)
+                    blades = sorted(tuple(sorted((back[a], back[b]))) for a, b in mm)
                     return FanEmbedding(x, tuple(blades[:k]))
             if g.n == 0:
                 return DegreeBoundReport(None, ())
@@ -350,11 +405,11 @@ class TestFanAtVertexR1:
 class TestThresholds:
     def test_delta_value(self):
         th = search_thresholds(100, 2, 2, 0.2)
-        assert th.delta == pytest.approx(math.sqrt(2) / 10 * 0.04)
-        assert th.delta == pytest.approx(0.005656854249, abs=1e-9)
+        assert th["delta"] == pytest.approx(math.sqrt(2) / 10 * 0.04)
+        assert th["delta"] == pytest.approx(0.005656854249, abs=1e-9)
 
     def test_deletion_bound(self):
-        assert search_thresholds(100, 2, 2, 0.2).deletion_bound == 15
+        assert search_thresholds(100, 2, 2, 0.2)["deletion_bound"] == 15
 
     def test_boundary_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -364,13 +419,23 @@ class TestThresholds:
         for r in (2, 3, 4):
             for eps in (0.1, 0.2, 0.3):
                 th = search_thresholds(50, 2, r, eps)
-                assert th.peel_degree_coef >= th.degree_coef
-                assert th.peel_c < math.sqrt(th.peel_beta * th.peel_eps)
+                assert th["peel_degree_coef"] >= th["degree_coef"]
+                assert th["peel_c"] < math.sqrt(th["peel_beta"] * th["peel_eps"])
+
+    def test_keys_in_the_documented_certificate_order(self):
+        keys = ["delta", "edge_threshold", "degree_coef", "rotation_delta", "deletion_bound",
+                "alpha_bound", "alpha_bound_alt", "peel_beta", "peel_eps", "peel_c",
+                "peel_degree_coef"]
+        for r in (1, 2, 3):
+            th = search_thresholds(30, 2, r, 0.2)
+            assert list(th) == keys
+            peel = [th[key] for key in keys if key.startswith("peel_")]
+            assert all(v is None for v in peel) if r == 1 else None not in peel
 
     def test_edge_threshold_matches_peel_hypothesis(self):
         th = search_thresholds(40, 2, 3, 0.2)
-        assert th.edge_threshold == pytest.approx(
-            th.peel_beta * (1 + th.peel_eps) * 40 * 40
+        assert th["edge_threshold"] == pytest.approx(
+            th["peel_beta"] * (1 + th["peel_eps"]) * 40 * 40
         )
 
 

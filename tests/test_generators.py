@@ -18,7 +18,7 @@ from cliquefan.generators import (
 from cliquefan.graphs import Graph, induced_subgraph, is_clique
 from cliquefan.invariants import max_independent_set, max_matching
 from cliquefan.oracle import brute_alpha
-from cliquefan.witness import GeneralizedFanEmbedding, find_clique, verify_generalized_fan
+from cliquefan.witness import GeneralizedFanEmbedding, find_fan, verify_generalized_fan
 from util import complete, cycle, min_code
 
 
@@ -128,12 +128,12 @@ class TestLowerBoundConstruction:
     def test_ten_vertices_two_parts(self):
         g = rt_lower_construction(10, 2, "c5")
         assert g.size == 35  # 25 between + 2 * 5 inside
-        assert find_clique(g, 5) is None
+        assert find_fan(g, FanShape(1, 5)) is None
         assert len(max_independent_set(g)) == 2
 
     def test_c13_parts(self):
         g = rt_lower_construction(26, 2, "c13-power")
-        assert find_clique(g, 5) is None
+        assert find_fan(g, FanShape(1, 5)) is None
         # An independent set cannot cross the complete join, so it lives
         # inside one part and matches the catalogued value.
         assert len(max_independent_set(g)) == catalogued_alpha("c13-power", 13) == 4
@@ -144,7 +144,7 @@ class TestLowerBoundConstruction:
 
     def test_multiple_copies_per_part(self):
         g = rt_lower_construction(20, 2, "c5")
-        assert find_clique(g, 5) is None
+        assert find_fan(g, FanShape(1, 5)) is None
         assert len(max_independent_set(g)) == catalogued_alpha("c5", 10) == 4
 
     def test_incompatible_part_size(self):
@@ -158,12 +158,12 @@ class TestLowerBoundConstruction:
     def test_c13_atom_is_triangle_free_with_alpha_4(self):
         atom = rt_lower_construction(26, 2, "c13-power")
         part, _ = induced_subgraph(atom, range(13))
-        assert find_clique(part, 3) is None
+        assert find_fan(part, FanShape(1, 3)) is None
         assert brute_alpha(part) == 4
 
     def test_triangle_free_process_parts(self):
         g = rt_lower_construction(14, 2, "tf-process:5")
-        assert find_clique(g, 5) is None
+        assert find_fan(g, FanShape(1, 5)) is None
         assert g == rt_lower_construction(14, 2, "tf-process:5")
 
     def test_part_sizes_balanced(self):
@@ -193,7 +193,7 @@ class TestGnpRandom:
 def test_triangle_free_process_is_triangle_free():
     for seed in (0, 1, 7):
         g = triangle_free_process(16, seed)
-        assert find_clique(g, 3) is None
+        assert find_fan(g, FanShape(1, 3)) is None
         assert g == triangle_free_process(16, seed)
 
 

@@ -7,7 +7,6 @@ from cliquefan.graphs import Graph, bits, induced_subgraph, is_independent, mask
 from cliquefan.invariants import (
     BudgetExceeded,
     IndependentSet,
-    Matching,
     _augment_from,
     greedy_independent_from_matching,
     greedy_matching,
@@ -25,7 +24,7 @@ class TestMaxMatching:
     def test_perfect_on_k4(self):
         mm = max_matching(complete(4))
         assert len(mm) == 2
-        assert sorted(v for e in mm.edges for v in e) == [0, 1, 2, 3]
+        assert sorted(v for e in mm for v in e) == [0, 1, 2, 3]
 
     def test_petersen_perfect(self):
         assert len(max_matching(petersen())) == 5
@@ -56,7 +55,7 @@ class TestMaxMatching:
             g = Graph(n, [(place[u], place[v]) for u, v in core.edges()])
             mm = max_matching(g)
             assert len(mm) == brute_nu(g), f"seed={seed}"
-            assert {v for e in mm.edges for v in e} <= set(place)
+            assert {v for e in mm for v in e} <= set(place)
 
     def test_dense_graphs_match_brute_force(self):
         # Dense neighbourhoods lean hardest on the greedy warm start.
@@ -68,8 +67,8 @@ class TestMaxMatching:
         for seed in range(50):
             g = gnp_random(12, 0.5, 500 + seed)
             mm = max_matching(g)
-            assert all(g.has_edge(u, v) for u, v in mm.edges)
-            covered = [v for e in mm.edges for v in e]
+            assert all(g.has_edge(u, v) for u, v in mm)
+            covered = [v for e in mm for v in e]
             assert len(covered) == len(set(covered))
 
 
@@ -93,7 +92,7 @@ class TestMaxMatching:
         for seed in range(320):
             n = 5 + seed % 24
             g = gnp_random(n, (0.05, 0.15, 0.3, 0.6, 0.9)[seed % 5], 7900 + seed)
-            assert max_matching(g).edges == every_root(g), f"seed={seed}"
+            assert max_matching(g) == every_root(g), f"seed={seed}"
 
     def test_greedy_matching_is_maximal_within_its_mask(self):
         for seed in range(100):
@@ -444,7 +443,7 @@ class TestGreedyIndependentFromMatching:
 
     def test_star_leaves_other_leaves(self):
         g = star(5)
-        ind = greedy_independent_from_matching(g, Matching(((0, 1),)))
+        ind = greedy_independent_from_matching(g, ((0, 1),))
         assert ind.members == (2, 3, 4, 5)
 
     def test_size_bound(self):
@@ -456,8 +455,8 @@ class TestGreedyIndependentFromMatching:
 
     def test_rejects_non_maximal_matching(self):
         with pytest.raises(ValueError, match="not maximal"):
-            greedy_independent_from_matching(cycle(6), Matching(((0, 1),)))
+            greedy_independent_from_matching(cycle(6), ((0, 1),))
 
     def test_rejects_foreign_edges(self):
         with pytest.raises(ValueError, match="not an edge"):
-            greedy_independent_from_matching(cycle(5), Matching(((0, 2),)))
+            greedy_independent_from_matching(cycle(5), ((0, 2),))

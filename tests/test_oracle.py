@@ -13,7 +13,7 @@ from cliquefan.oracle import (
     nonisomorphic_graph_codes,
     pair_count,
 )
-from cliquefan.witness import find_clique, find_fan
+from cliquefan.witness import find_fan
 from util import complete, cycle, min_code, petersen
 
 TRIANGLE = FanShape(1, 3)
@@ -58,7 +58,7 @@ class TestNaiveContains:
         for seed in range(60):
             g = gnp_random(8, 0.5, 200 + seed)
             for q in range(2, 6):
-                assert (find_clique(g, q) is not None) == naive_contains(g, complete(q))
+                assert (find_fan(g, FanShape(1, q)) is not None) == naive_contains(g, complete(q))
 
 
 class TestCanonicalForm:

@@ -6,7 +6,6 @@ from cliquefan.oracle import graph_from_code, naive_contains, pair_count
 from cliquefan.witness import (
     FanEmbedding,
     GeneralizedFanEmbedding,
-    find_clique,
     find_fan,
     verify_fan,
     verify_generalized_fan,
@@ -17,30 +16,32 @@ SHAPES = [FanShape(1, 3), FanShape(2, 3), FanShape(1, 5), FanShape(2, 2), FanSha
 
 
 class TestFindClique:
+    """A q-clique is a fan of one K_q, so find_fan(g, FanShape(1, q)) finds it."""
+
     def test_complete(self):
-        assert find_clique(complete(5), 5) == (0, 1, 2, 3, 4)
+        assert find_fan(complete(5), FanShape(1, 5)) == FanEmbedding(0, ((1, 2, 3, 4),))
 
     def test_turan_is_k5_free(self):
-        assert find_clique(turan_graph(20, 4), 5) is None
+        assert find_fan(turan_graph(20, 4), FanShape(1, 5)) is None
 
     def test_petersen_has_girth_five(self):
-        assert find_clique(petersen(), 3) is None
+        assert find_fan(petersen(), FanShape(1, 3)) is None
 
     def test_lexicographically_first(self):
         g = Graph(6, [(1, 2), (2, 5), (1, 5), (3, 4), (0, 3), (0, 4)])
-        assert find_clique(g, 3) == (0, 3, 4)
+        assert find_fan(g, FanShape(1, 3)) == FanEmbedding(0, ((3, 4),))
 
     def test_absence_is_monotone_in_size(self):
         for seed in range(40):
             g = gnp_random(9, 0.55, 600 + seed)
             for q in range(2, 8):
-                if find_clique(g, q) is None:
-                    assert all(find_clique(g, q2) is None for q2 in range(q + 1, 10))
+                if find_fan(g, FanShape(1, q)) is None:
+                    assert all(find_fan(g, FanShape(1, q2)) is None for q2 in range(q + 1, 10))
                     break
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            find_clique(complete(3), 0)
+            find_fan(complete(3), FanShape(1, 0))
 
 
 class TestFindFan:
