@@ -6,11 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import EDGE_BATCH, Graph, mask_from
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,9 @@ def turan_graph(n: int, r: int) -> Graph:
         raise ValueError("need at least one part")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    full = (1 << n) - 1
-    part_masks = [0] * r
-    for v in range(n):
-        part_masks[v % r] |= 1 << v
-    masks = [full ^ part_masks[v % r] for v in range(n)]
-    sizes = [part_masks[p].bit_count() for p in range(r)]
-    m = (n * n - sum(s * s for s in sizes)) // 2
-    return Graph._from_masks(n, masks, m)
+    full, parts = (1 << n) - 1, [mask_from(range(p, n, r)) for p in range(r)]
+    m = (n * n - sum(part.bit_count() ** 2 for part in parts)) // 2
+    return Graph._from_masks(n, [full ^ parts[v % r] for v in range(n)], m)
 
 
 @lru_cache(maxsize=16)
@@ -143,54 +138,51 @@ def rt_lower_construction(n: int, r: int, part_key: str = "c5") -> Graph:
     """
     if r < 2:
         raise ValueError("need at least two parts")
-    sizes = part_sizes(n, r)
-    edges: list[tuple[int, int]] = []
-    starts = list(accumulate(sizes[:-1], initial=0))
-    # Complete join between distinct parts.
-    for part, other in combinations([range(a, a + s) for a, s in zip(starts, sizes)], 2):
-        edges += product(part, other)
-    # Fill each part.
-    for idx, (off, s) in enumerate(zip(starts, sizes)):
+    sizes, masks = part_sizes(n, r), []
+    size = (n * n - sum(s * s for s in sizes)) // 2
+    # Each vertex joins every other part, and its own part's graph.
+    for idx, (off, s) in enumerate(zip(accumulate(sizes[:-1], initial=0), sizes)):
         if part_key.startswith("tf-process:"):
-            seed = int(part_key.split(":", 1)[1])
-            sample = triangle_free_process(s, seed + idx)
-            edges.extend((off + u, off + v) for u, v in sample.edges())
-            continue
-        if part_key not in PART_CATALOG:
+            part = triangle_free_process(s, int(part_key.split(":", 1)[1]) + idx)
+        elif part_key not in PART_CATALOG:
             raise ValueError(f"unknown part graph {part_key!r}")
-        catalogued_alpha(part_key, s)  # rejects a size the atom does not divide
-        atom = PART_CATALOG[part_key]
-        for copy in range(s // atom["order"]):
-            base = off + copy * atom["order"]
-            edges.extend((base + u, base + v) for u, v in atom["edges"])
-    return Graph(n, edges)
+        else:
+            catalogued_alpha(part_key, s)  # rejects a size the atom does not divide
+            order, atom = PART_CATALOG[part_key]["order"], PART_CATALOG[part_key]["edges"]
+            part = Graph(s, [(b + u, b + v) for b in range(0, s, order) for u, v in atom])
+        others = ((1 << n) - 1) ^ (((1 << s) - 1) << off)
+        masks += [others | m << off for m in part._adj]
+        size += part.size
+    return Graph._from_masks(n, masks, size)
 
 
 def gnp_random(n: int, p: float, seed: int) -> Graph:
     """Erdős–Rényi G(n, p) from a seeded PCG64 stream.
 
-    Pairs are drawn in lexicographic order, one row of the upper
-    triangle at a time, so a seed pins the graph bit for bit.
+    Pairs are drawn in lexicographic order, in chunks of at most
+    ``EDGE_BATCH`` draws, so a seed pins the graph bit for bit.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        adj[i, i + 1:] = rng.random(n - 1 - i) < p
-    adj |= adj.T
-    masks = [
-        int.from_bytes(np.packbits(adj[i], bitorder="little").tobytes(), "little")
-        for i in range(n)
-    ]
-    return Graph._from_masks(n, masks, int(adj.sum()) // 2)
+    upper = np.empty(n * (n - 1) // 2, bool)
+    for i in range(0, len(upper), EDGE_BATCH):
+        upper[i:i + EDGE_BATCH] = rng.random(min(EDGE_BATCH, len(upper) - i)) < p
+    adj, start = np.zeros((n, n), bool), 0
+    for i in range(n - 1):  # row i and column i at once: adj | adj.T would copy n × n
+        adj[i, i + 1:] = adj[i + 1:, i] = upper[start:(start := start + n - 1 - i)]
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return Graph._from_masks(n, masks, int(np.count_nonzero(upper)))
 
 
 def triangle_free_process(n: int, seed: int) -> Graph:
     """Seeded triangle-free process: visit all pairs in a random order,
     keeping each edge that closes no triangle."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
     us, vs = np.triu_indices(n, 1)
     order = rng.permutation(len(us))

@@ -1,24 +1,26 @@
 """On-disk formats: edge-list graph files, certificate JSON, TSV tables.
 
 Graph files are line oriented and diff friendly: a header ``p <n> <m>``
-followed by m lines ``e <u> <v>`` with 0-based endpoints and u < v.
-Lines starting with ``#`` are ignored. After the header the reader takes
-blocks of about 64 KB cut after a newline: one of bare ``e <u> <v>`` lines
-parses whole into the graph's batch builder, any other (comments, blank
-lines, a bad line) line by line with line-numbered errors. Certificates
-serialize with a fixed key order; each float field (``FLOAT_FIELDS``) holds
-its shortest round-tripping decimal string so verification stays bit-stable.
+then m lines ``e <u> <v>`` with 0-based endpoints and u < v; ``#`` lines are
+ignored. The body is read in blocks of about 64 KB cut after a newline. A
+block of unsigned bare ``e <u> <v>`` lines is one batch for the graph
+builder if numpy's text reader gives one int64 per endpoint, none clamped,
+and u < v; any other goes line by line with line-numbered errors. A
+certificate has a fixed key order, and each float field (``FLOAT_FIELDS``)
+holds its shortest round-tripping decimal string: verification is bit-stable.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
+from itertools import compress
 from typing import Any, TextIO
 
 import numpy as np
 
 from .finder import SearchCertificate, search_thresholds
-from .graphs import Graph
+from .graphs import Graph, upper_row
 
 GRAPH_BLOCK = 1 << 16
 
@@ -29,11 +31,10 @@ class GraphFormatError(ValueError):
 
 def write_graph(g: Graph, out: TextIO) -> None:
     out.write(f"p {g.n} {g.size}\n")
+    names = [str(v) for v in range(g.n)]
     for u, mask in enumerate(g._adj):
-        later = [str(v) for v, bit in enumerate(bin(mask >> u + 1)[:1:-1], u + 1) if bit == "1"]
-        if later:
-            head = f"e {u} "
-            out.write(head + f"\n{head}".join(later) + "\n")
+        if later := list(compress(names[u + 1:], upper_row(mask, u))):
+            out.write(f"e {u} " + f"\ne {u} ".join(later) + "\n")
 
 
 def _record(raw: str, lineno: int, in_body: bool) -> tuple[int, int] | None:
@@ -75,15 +76,20 @@ def _block_edges(block: str, lineno: int):
     batches: bare ``e <u> <v>`` lines with u < v parse as one int64 array,
     anything else goes line by line through :func:`_record`."""
     lines, tokens = block.count("\n"), block.split()
-    # Then every line holds three tokens and one 'e', its first character.
+    # Then every line is three tokens, 'e' first; numpy misreads a bare sign, so none pass.
     if (block.startswith("e") and block.count("e") == lines == block.count("\ne") + 1
-            and len(tokens) == 3 * lines and tokens[::3].count("e") == lines):
+            and len(tokens) == 3 * lines and tokens[::3].count("e") == lines
+            and "-" not in block and "+" not in block):
+        del tokens  # about 1 MB of str objects per block, not needed past the check
         try:
-            uv = np.array([tokens[1::3], tokens[2::3]], np.int64).T
-        except (ValueError, OverflowError):  # an endpoint is no int64
-            uv = None
-        if uv is not None and (uv[:, 0] < uv[:, 1]).all():
-            yield uv
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # older numpy warns on unmatched data
+                uv = np.fromstring(block.replace("e", " "), np.int64, sep=" ")
+        except (ValueError, Warning):  # an endpoint is no decimal integer
+            uv = np.zeros(0, np.int64)
+        # One value per endpoint, none clamped to the int64 maximum, u < v.
+        if len(uv) == 2 * lines and uv.max() < 2**63 - 1 and (uv[::2] < uv[1::2]).all():
+            yield uv.reshape(lines, 2)
             return
     edges = []
     for i, raw in enumerate(block.split("\n"), lineno + 1):

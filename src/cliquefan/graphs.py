@@ -12,12 +12,13 @@ subgraphs are cut out of the masks by one numpy bit extract.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain, compress, islice, repeat
 from operator import index
 
 import numpy as np
 
 EDGE_BATCH = 1 << 13
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def mask_from(vertices: Iterable[int]) -> int:
@@ -34,6 +35,11 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def upper_row(mask: int, u: int) -> bytes:
+    """Bits u+1, u+2, ... of ``mask`` as one 0/1 byte each, for ``compress``."""
+    return bin(mask >> u + 1)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 class Graph:
@@ -102,12 +108,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            m = self._adj[u] >> (u + 1)
-            while m:
-                low = m & -m
-                yield u, u + low.bit_length()
-                m ^= low
+        return chain.from_iterable(zip(repeat(u), compress(range(u + 1, self.n), upper_row(m, u)))
+                                   for u, m in enumerate(self._adj))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

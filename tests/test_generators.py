@@ -1,9 +1,11 @@
-from itertools import combinations
+import re
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
 
 from cliquefan.generators import (
+    PART_CATALOG,
     FanShape,
     TupleShape,
     catalogued_alpha,
@@ -170,6 +172,46 @@ class TestLowerBoundConstruction:
         assert part_sizes(10, 3) == [4, 3, 3]
         assert part_sizes(9, 3) == [3, 3, 3]
 
+    def test_masks_match_the_edge_list_construction(self):
+        # The construction as it was when it listed every cross-part pair.
+        def edge_list(n, r, part_key):
+            if r < 2:
+                raise ValueError("need at least two parts")
+            sizes = part_sizes(n, r)
+            edges = []
+            starts = list(accumulate(sizes[:-1], initial=0))
+            for part, other in combinations([range(a, a + s) for a, s in zip(starts, sizes)], 2):
+                edges += product(part, other)
+            for idx, (off, s) in enumerate(zip(starts, sizes)):
+                if part_key.startswith("tf-process:"):
+                    sample = triangle_free_process(s, int(part_key.split(":", 1)[1]) + idx)
+                    edges.extend((off + u, off + v) for u, v in sample.edges())
+                    continue
+                if part_key not in PART_CATALOG:
+                    raise ValueError(f"unknown part graph {part_key!r}")
+                catalogued_alpha(part_key, s)
+                atom = PART_CATALOG[part_key]
+                for copy in range(s // atom["order"]):
+                    base = off + copy * atom["order"]
+                    edges.extend((base + u, base + v) for u, v in atom["edges"])
+            return Graph(n, edges)
+
+        cases = [(0, 2, "empty"), (4, 2, "empty"), (7, 3, "empty"), (10, 2, "c5"), (60, 3, "c5"),
+                 (26, 2, "c13-power"), (156, 3, "c13-power"), (14, 2, "tf-process:5"),
+                 (41, 4, "tf-process:2"), (100, 2, "tf-process:1"),
+                 # the errors, each where the edge-list version raised it first
+                 (10, 1, "c5"), (10, 1, "moebius"), (10, 2, "moebius"), (11, 2, "c5"),
+                 (12, 2, "c13-power"), (-5, 2, "c5"), (-5, 2, "empty"), (-5, 2, "tf-process:3")]
+        for case in cases:
+            try:
+                want = edge_list(*case)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    rt_lower_construction(*case)
+                continue
+            g = rt_lower_construction(*case)
+            assert g._adj == want._adj and g.size == want.size, case
+
 
 class TestGnpRandom:
     def test_extreme_probabilities(self):
@@ -188,6 +230,24 @@ class TestGnpRandom:
     def test_probability_range_checked(self):
         with pytest.raises(ValueError):
             gnp_random(5, 1.5, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 128, 129, 182])
+    def test_chunked_draws_match_the_per_row_draws(self, n):
+        # The sampler as it was when it drew one row of the upper triangle
+        # at a time; n = 129 and 182 put 8,192 and 16,384 draws mid-row.
+        def per_row(n, p, seed):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            adj = np.zeros((n, n), dtype=bool)
+            for i in range(n - 1):
+                adj[i, i + 1:] = rng.random(n - 1 - i) < p
+            adj |= adj.T
+            masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in adj]
+            return masks, int(adj.sum()) // 2
+
+        for p in (0.0, 0.3, 1.0):
+            for seed in (0, 2**32 - 1):
+                g = gnp_random(n, p, seed)
+                assert (list(g._adj), g.size) == per_row(n, p, seed)
 
 
 def test_triangle_free_process_is_triangle_free():

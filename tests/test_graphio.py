@@ -179,6 +179,70 @@ class TestEndpointsOutsideInt64:
         assert cli.main(["matching", str(path)]) == cli.EX_DATAERR
 
 
+class TestBulkParse:
+    """A block of bare edge lines is parsed by numpy's text reader; each
+    token it reads otherwise than ``int`` does must send the block line by
+    line, where the outcome is the one a line-by-line reader gives."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("e 3x 5", "line {}: bad edge endpoints"),
+            ("e 3 1.5", "line {}: bad edge endpoints"),
+            ("e 0x1 5", "line {}: bad edge endpoints"),
+            ("e - 5", "line {}: bad edge endpoints"),
+            ("e 3 +", "line {}: bad edge endpoints"),
+            ("e 1_0 2", "line {}: endpoints must satisfy u < v"),
+            ("e 3 9223372036854775807", r"edge \(3, 9223372036854775807\) out of range for n=200"),
+        ],
+    )
+    def test_malformed_token_past_the_first_block(self, line, message):
+        header, body = big_lines()
+        i = line_past(body, GRAPH_BLOCK + 100)
+        body[i] = line + "\n"
+        with pytest.raises(GraphFormatError, match=f"^{message.format(i + 2)}$"):
+            read_text(header + "".join(body))
+
+    @pytest.mark.parametrize("line", ["e -3 -", "e -3 +"])
+    def test_bare_sign_ending_the_file(self, line):
+        # numpy reads a bare sign that ends its text as 0, which would make
+        # an edge (-3, 0) whose endpoint is out of range.
+        header, body = big_lines()
+        body[-1] = line + "\n"
+        with pytest.raises(GraphFormatError, match=rf"^line {len(body) + 1}: bad edge endpoints$"):
+            read_text(header + "".join(body))
+
+    def test_a_plus_sign_parses(self):
+        header, body = big_lines()
+        i = line_past(body, GRAPH_BLOCK + 100)
+        _, u, v = body[i].split()
+        g = read_text(header + "".join(body))
+        body[i] = f"e +{u} +{v}\n"
+        assert read_text(header + "".join(body)) == g
+
+    def test_mutated_tokens_read_as_line_by_line(self):
+        # A leading space on every line keeps each block off the bulk path.
+        header, body = big_lines()
+        rng = random.Random(12)
+        junk = ["+", "-", "x", "_", ".", "0", "9", "e", " ", "\t", "00", "-0", "+7", "9" * 19, "9" * 21]
+
+        def outcome(text):
+            try:
+                return read_text(text)
+            except GraphFormatError as exc:
+                return str(exc)
+
+        for _ in range(60):
+            lines = list(body)
+            i = rng.choice([rng.randrange(len(lines)), len(lines) - 1])
+            tokens = lines[i].split()
+            k = rng.randrange(1, 3)
+            tokens[k] = rng.choice([tokens[k], ""]) + "".join(rng.choices(junk, k=rng.randint(1, 3)))
+            lines[i] = " ".join(tokens) + "\n"
+            text = header + "".join(lines)
+            assert outcome(text) == outcome(header + "".join(" " + line for line in lines))
+
+
 class TestBuilder:
     @pytest.mark.parametrize(
         "edges, message",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cliquefan.generators import gnp_random
+from cliquefan.generators import gnp_random, turan_graph
 from cliquefan.graphs import (
     Graph,
     induced_subgraph,
@@ -36,6 +36,23 @@ class TestConstruction:
         es = list(g.edges())
         assert es == sorted(es)
         assert len(es) == g.size == 15
+
+    def test_edges_match_the_lowest_bit_loop(self):
+        # The per-bit loop that edges() ran before its rows were read
+        # through one bin() string each.
+        def loop_edges(g):
+            for u in range(g.n):
+                m = g._adj[u] >> (u + 1)
+                while m:
+                    low = m & -m
+                    yield u, u + low.bit_length()
+                    m ^= low
+
+        rng = random.Random(11)
+        hosts = [gnp_random(n, rng.choice([0.05, 0.3, 0.7, 1.0]), n) for n in range(91)]
+        hosts += [turan_graph(n, r) for n in (0, 1, 9, 64, 65, 300) for r in (1, 2, 5)]
+        for g in hosts:
+            assert list(g.edges()) == list(loop_edges(g))
 
 
 class TestInducedSubgraph:
