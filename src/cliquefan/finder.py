@@ -106,10 +106,12 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     (fewer than beta n^2 (1 + eps) edges) and that deficit is returned
     as the violation witness.
 
-    Degrees sit in a numpy vector: each step removes the first live
-    violator and subtracts its unpacked row. The threshold only falls,
-    so a vertex turns violator only by losing a neighbour, and a heap
-    re-queueing it then would pop the same vertex at every step.
+    Degrees sit in a numpy vector: each step removes the first violator
+    and subtracts its unpacked row. A removed vertex's entry becomes 3n,
+    above 2n after its at most n - 1 later decrements, so out of reach of
+    the threshold (below 1.5 n). The threshold only falls, so a vertex
+    turns violator only by losing a neighbour, and a heap re-queueing it
+    then would pop the same vertex at every step.
     """
     if not 0.0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
@@ -124,16 +126,15 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     if n == 0:
         return deficiency
     deg = np.array([mask.bit_count() for mask in g._adj], np.int64)
-    alive, m = np.ones(n, bool), n
-    while (violators := np.flatnonzero(alive & (deg <= coef * m))).size:
-        v = violators[0]
-        alive[v] = False
+    m = n
+    while (low := deg <= coef * m)[v := int(low.argmax())]:
+        deg[v] = 3 * n
         m -= 1
         if m <= cn:
             return deficiency
         row = np.frombuffer(g._adj[v].to_bytes((n + 7) // 8, "little"), np.uint8)
         deg -= np.unpackbits(row, count=n, bitorder="little")
-    return tuple(np.flatnonzero(alive).tolist())
+    return tuple(np.flatnonzero(deg < n).tolist())
 
 
 def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold, max_size: int):
@@ -296,10 +297,9 @@ def search_thresholds(n: int, k: int, r: int, eps: float) -> dict[str, Any]:
     leaves the peeled core with minimum degree above (1 - 1/r + eps/2)
     times its order, comfortably implying the clique steps'
     (1 - 1/r + eps/3) bound. Retention is fixed at 90% of its strict
-    supremum sqrt(beta * slack) = sqrt(eps/2). Both candidate
-    independence bounds are recorded; the global delta guards the global
-    hypothesis while eps/4 only enters the rotation counting. The peel_*
-    entries are None for r = 1, which peels nothing.
+    supremum sqrt(beta * slack) = sqrt(eps/2). The rotations' independence
+    bound is delta n. The peel_* entries are None for r = 1, which peels
+    nothing.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -319,10 +319,8 @@ def search_thresholds(n: int, k: int, r: int, eps: float) -> dict[str, Any]:
         "delta": delta,
         "edge_threshold": (1.0 - 1.0 / r + eps) * n * n / 2.0,
         "degree_coef": 1.0 - 1.0 / r + eps / 3.0,
-        "rotation_delta": eps / 4.0,
         "deletion_bound": 2 * r * (k - 1) * (r + 1) + (r + 1),
         "alpha_bound": delta * n,
-        "alpha_bound_alt": math.sqrt(eps) / 5.0 * n,
         "peel_beta": peel_beta,
         "peel_eps": peel_eps,
         "peel_c": peel_c,

@@ -6,8 +6,9 @@ ignored. The body is read in blocks of about 64 KB cut after a newline. A
 block of unsigned bare ``e <u> <v>`` lines is one batch for the graph
 builder if numpy's text reader gives one int64 per endpoint, none clamped,
 and u < v; any other goes line by line with line-numbered errors. A
-certificate has a fixed key order, and each float field (``FLOAT_FIELDS``)
-holds its shortest round-tripping decimal string: verification is bit-stable.
+certificate is one line of compact JSON (CPython's C encoder writes it) with
+a fixed key order, and each float field (``FLOAT_FIELDS``) holds its shortest
+round-tripping decimal string: verification is bit-stable.
 """
 
 from __future__ import annotations
@@ -139,33 +140,29 @@ def read_graph(src: TextIO) -> Graph:
     return g
 
 
+CERTIFICATE_FORMAT = "cliquefan-certificate-v2"
 # The certificate fields that hold floats, by part (None: every field). A
 # float is written as its repr, the shortest string that reads back to it.
 FLOAT_FIELDS = {"input": ("eps",), "thresholds": None, "outcome": ("observed", "threshold")}
 
 
-def _code_floats(part: str, values: dict[str, Any], code) -> dict[str, Any]:
+def _code_floats(part: str, values: dict[str, Any], kind: type, code) -> dict[str, Any]:
+    """``values`` with ``code`` applied to each float field of type ``kind``:
+    (float, repr) writes a part, (str, float) reads it back."""
     keys = FLOAT_FIELDS[part]
-    return {k: code(v) if keys is None or k in keys else v for k, v in values.items()}
-
-
-def _encode(v: Any) -> Any:
-    return repr(v) if isinstance(v, float) else v
-
-
-def _decode(v: Any) -> Any:
-    return float(v) if isinstance(v, str) else v
+    return {k: code(v) if isinstance(v, kind) and (keys is None or k in keys) else v
+            for k, v in values.items()}
 
 
 def certificate_to_json(cert: SearchCertificate) -> str:
     payload = {
-        "format": "cliquefan-certificate-v1",
-        "input": _code_floats("input", cert.input, _encode),
-        "thresholds": _code_floats("thresholds", cert.thresholds, _encode),
+        "format": CERTIFICATE_FORMAT,
+        "input": _code_floats("input", cert.input, float, repr),
+        "thresholds": _code_floats("thresholds", cert.thresholds, float, repr),
         "steps": cert.steps,
-        "outcome": _code_floats("outcome", cert.outcome, _encode),
+        "outcome": _code_floats("outcome", cert.outcome, float, repr),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def certificate_from_json(text: str) -> SearchCertificate:
@@ -173,13 +170,17 @@ def certificate_from_json(text: str) -> SearchCertificate:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, a huge int, deep nesting
         raise GraphFormatError(f"bad certificate JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != "cliquefan-certificate-v1":
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if not isinstance(fmt, str):
         raise GraphFormatError("not a cliquefan certificate")
+    if fmt != CERTIFICATE_FORMAT:
+        raise GraphFormatError(
+            f"certificate format {fmt!r} is not read; this version reads {CERTIFICATE_FORMAT!r}")
     for key, kind in (("input", dict), ("thresholds", dict), ("steps", list), ("outcome", dict)):
         if not isinstance(payload.get(key), kind):
             raise GraphFormatError(f"certificate field {key!r} missing or not a {kind.__name__}")
     try:
-        inp, thresholds, outcome = (_code_floats(p, payload[p], _decode) for p in FLOAT_FIELDS)
+        inp, thresholds, outcome = (_code_floats(p, payload[p], str, float) for p in FLOAT_FIELDS)
         if type(inp["k"]) is not int or type(inp["r"]) is not int:
             raise TypeError("k and r must be integers")
         # The search's own parameter checks decide what a certificate may carry.

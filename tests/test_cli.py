@@ -69,7 +69,7 @@ class TestCertificateJson:
         g = turan_graph(25, 5)
         _, cert = find_odd_fan(g, 2, 2, 0.2)
         payload = json.loads(graphio.certificate_to_json(cert))
-        assert payload["format"] == "cliquefan-certificate-v1"
+        assert payload["format"] == "cliquefan-certificate-v2"
         assert payload["input"]["eps"] == "0.2"
         assert isinstance(payload["thresholds"]["delta"], str)
         assert isinstance(payload["thresholds"]["deletion_bound"], int)
@@ -315,6 +315,20 @@ class TestCommands:
         assert err.startswith("error: ")
         if value is MISSING:
             assert f"certificate missing field: '{key}'" in err
+
+    def test_v1_certificate_exits_65_naming_both_formats(self, tmp_path, capsys):
+        gpath = write_graph_file(tmp_path, turan_graph(25, 5))
+        cpath = tmp_path / "cert.json"
+        assert run_cli("find-fan", gpath, "--k", "2", "--r", "2", "--eps", "0.2",
+                       "--cert", str(cpath)) == 0
+        payload = json.loads(cpath.read_text())
+        payload["format"] = "cliquefan-certificate-v1"
+        cpath.write_text(json.dumps(payload, indent=2) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", gpath, str(cpath)) == 65
+        err = capsys.readouterr().err
+        assert err == ("error: certificate format 'cliquefan-certificate-v1' is not read; "
+                       "this version reads 'cliquefan-certificate-v2'\n")
 
     def test_deeply_nested_certificate_exits_65(self, tmp_path, capsys):
         gpath = write_graph_file(tmp_path, turan_graph(25, 5))

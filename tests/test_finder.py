@@ -83,6 +83,10 @@ class TestPeel:
             (gnp_random(800, 0.58, 1), *params(800, 2, 0.2)),
             (gnp_random(700, 0.75, 2), *params(700, 3, 0.2)),
             (planted, *params(600, 2, 0.2)),
+            # A cascade of about 700 removals that leaves survivors.
+            (gnp_random(2000, 0.605, 1), *params(2000, 2, 0.2)),
+            # The degree coefficient 2 beta (1 + eps/2) near its 1.5 supremum.
+            (gnp_random(200, 0.9, 7), 0.49, 0.99, 0.5),
         ]
         for i in range(200):
             n, r, p = 8 + i % 47, 2 + i % 2, (0.5, 0.7, 0.85, 0.95)[i % 4]
@@ -95,6 +99,8 @@ class TestPeel:
         assert outcomes == {tuple, HypothesisViolation}
         assert isinstance(peel_dense_subgraph(*cases[0]), HypothesisViolation)
         assert len(peel_dense_subgraph(*cases[2])) == 480
+        assert len(peel_dense_subgraph(*cases[3])) == 1294
+        assert isinstance(peel_dense_subgraph(*cases[4]), HypothesisViolation)
 
 
 def heap_peel(g: Graph, beta: float, eps: float, c: float):
@@ -423,9 +429,8 @@ class TestThresholds:
                 assert th["peel_c"] < math.sqrt(th["peel_beta"] * th["peel_eps"])
 
     def test_keys_in_the_documented_certificate_order(self):
-        keys = ["delta", "edge_threshold", "degree_coef", "rotation_delta", "deletion_bound",
-                "alpha_bound", "alpha_bound_alt", "peel_beta", "peel_eps", "peel_c",
-                "peel_degree_coef"]
+        keys = ["delta", "edge_threshold", "degree_coef", "deletion_bound", "alpha_bound",
+                "peel_beta", "peel_eps", "peel_c", "peel_degree_coef"]
         for r in (1, 2, 3):
             th = search_thresholds(30, 2, r, 0.2)
             assert list(th) == keys

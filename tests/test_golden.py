@@ -5,18 +5,33 @@ the search, and one SHA-256 over all the certificate JSON.
 A change that alters any certificate byte changes the digest. Update
 GRID_SHA256 only for a change that is meant to alter certificates, and
 say in the change log which certificates moved and why.
+
+A second test rebuilds each certificate's format-v1 text (``indent=2``
+and two thresholds v2 no longer records) and requires the v1 digest,
+which shows that v2 changed the layout, the version and those two
+thresholds and nothing else.
 """
 
 import hashlib
+import json
+import marshal
+import math
 
-from cliquefan.finder import HypothesisViolation, check_violation, find_odd_fan
+from cliquefan.finder import (
+    HypothesisViolation,
+    check_violation,
+    find_odd_fan,
+    replay_certificate,
+)
 from cliquefan.generators import FanShape, gnp_random, rt_lower_construction
-from cliquefan.graphio import certificate_to_json
+from cliquefan.graphio import certificate_from_json, certificate_to_json
 from cliquefan.oracle import graph_from_code, nonisomorphic_graph_codes
 from cliquefan.witness import verify_fan
 
 EPS = 0.3
-GRID_SHA256 = "61db5d4502b2c728f1b100a83b2a89cb03fa86a2ea6f765521fee050cad897d3"
+GRID_SHA256 = "7d7d2d93ffcefa757d1b520069222735e1cd16d35e1e5366e3dadfc850d9f397"
+# The same corpus written by the format-v1 writer below.
+V1_GRID_SHA256 = "61db5d4502b2c728f1b100a83b2a89cb03fa86a2ea6f765521fee050cad897d3"
 
 
 def corpus():
@@ -54,3 +69,48 @@ def test_grid_outcomes_check_and_certificates_match_golden_digest():
         runs += 1
     assert runs == 3000 + 2 * 1253 + 74
     assert digest.hexdigest() == GRID_SHA256
+
+
+def v1_certificate_json(cert) -> str:
+    """The format-v1 writer: ``indent=2``, and the thresholds eps/4
+    (``rotation_delta``) and sqrt(eps)/5 n (``alpha_bound_alt``) that
+    format v2 no longer records, in their v1 places."""
+    eps, n = cert.input["eps"], cert.input["n"]
+    thresholds = {}
+    for key, value in cert.thresholds.items():
+        thresholds[key] = value
+        if key == "degree_coef":
+            thresholds["rotation_delta"] = eps / 4.0
+        elif key == "alpha_bound":
+            thresholds["alpha_bound_alt"] = math.sqrt(eps) / 5.0 * n
+
+    def floats(values, keys):
+        return {k: repr(v) if isinstance(v, float) and (keys is None or k in keys) else v
+                for k, v in values.items()}
+
+    payload = {
+        "format": "cliquefan-certificate-v1",
+        "input": floats(cert.input, ("eps",)),
+        "thresholds": floats(thresholds, None),
+        "steps": cert.steps,
+        "outcome": floats(cert.outcome, ("observed", "threshold")),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_v2_is_v1_in_one_compact_line_without_the_dropped_thresholds():
+    v1_digest = hashlib.sha256()
+    for g, k, r, _ in corpus():
+        _, cert = find_odd_fan(g, k, r, EPS)
+        text, v1_text = certificate_to_json(cert), v1_certificate_json(cert)
+        v1_digest.update(v1_text.encode("ascii"))
+        v1 = json.loads(v1_text)
+        v1["format"] = "cliquefan-certificate-v2"
+        del v1["thresholds"]["rotation_delta"], v1["thresholds"]["alpha_bound_alt"]
+        # The same dict, keys in the same order, written compactly on one line.
+        assert text == json.dumps(v1, separators=(",", ":")) + "\n"
+        back = certificate_from_json(text)
+        assert marshal.dumps(vars(back), 0) == marshal.dumps(vars(cert), 0)
+        assert replay_certificate(g, back)
+    # The search itself is unchanged: v1 text rebuilt from v2 runs is the v1 corpus.
+    assert v1_digest.hexdigest() == V1_GRID_SHA256
