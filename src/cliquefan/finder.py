@@ -23,20 +23,12 @@ from typing import Any
 import numpy as np
 
 from .generators import FanShape
-from .graphs import (
-    Graph,
-    bits,
-    induced_subgraph,
-    is_clique,
-    is_independent,
-    mask_from,
-    vertex_set,
-)
+from .graphs import Graph, bits, induced_subgraph, is_clique, is_independent, mask_from
 from .invariants import greedy_independent_from_matching, max_matching
 from .witness import (
     FanEmbedding,
     GeneralizedFanEmbedding,
-    _triangle_fan_at,
+    find_fan,
     verify_fan,
     verify_generalized_fan,
 )
@@ -64,10 +56,7 @@ class HypothesisViolation:
 
 def check_violation(g: Graph, violation: HypothesisViolation) -> bool:
     """Re-derive a violation's witness against the graph it came from."""
-    if violation.within is None:
-        mask = (1 << g.n) - 1
-    else:
-        mask = mask_from(violation.within)
+    mask = (1 << g.n) - 1 if violation.within is None else mask_from(violation.within)
     kind = violation.kind
     if kind == "edge-deficiency":
         return not violation.vertices and violation.observed == g.size <= violation.threshold
@@ -137,27 +126,33 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     return tuple(np.flatnonzero(deg < n).tolist())
 
 
+def _pool(within: int | None) -> tuple[int, ...] | None:
+    """A pool mask as the ascending tuple a violation records; numpy
+    unpacks it, since ``bits`` pays one big-int step per vertex."""
+    if within is None:
+        return None
+    row = np.frombuffer(within.to_bytes((within.bit_length() + 7) // 8, "little"), np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist())
+
+
 def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold, max_size: int):
     """Front end shared by the clique steps.
 
-    Checks the clique, its size bound and the restriction, then the
+    Checks the clique, its size bound and the restriction mask, then the
     degree hypothesis d(v) >= (1 - 1/r + eps/3) n on every member, n
     being the restricted order. Returns the first failing member as a
     low-degree violation, or else the clique as a sorted tuple, the
-    restriction mask, the clique's common neighbors inside it, and the
-    restriction as a tuple (None when unrestricted).
+    restriction mask and the clique's common neighbors inside it.
     """
-    if within is None:
-        mask, within_t = (1 << g.n) - 1, None
-    else:
-        within_t = vertex_set(g, within)
-        mask = mask_from(within_t)
-    d = tuple(sorted(set(clique)))
-    if not is_clique(g, d):
+    mask = (1 << g.n) - 1 if within is None else within
+    if not 0 <= mask < 1 << g.n:
+        raise ValueError(f"restriction mask {mask:#x} has a bit outside [0, {g.n})")
+    d = tuple(sorted(clique))
+    # A repeated vertex is not adjacent to itself, so no clique either.
+    if not is_clique(g, d) or (dmask := mask_from(d)).bit_count() < len(d):
         raise ValueError(f"{d} is not a clique")
-    for v in d:
-        if not (mask >> v) & 1:
-            raise ValueError(f"clique vertex {v} lies outside the restriction")
+    if dmask & ~mask:
+        raise ValueError(f"clique {d} leaves the restriction")
     if r < 1:
         raise ValueError("r must be positive")
     if len(d) > max_size:
@@ -167,13 +162,13 @@ def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold,
         if degree_threshold is not None
         else (1.0 - 1.0 / r + eps / 3.0) * mask.bit_count()
     )
-    common = mask & ~mask_from(d)
+    common = mask & ~dmask
     for v in d:
         dv = (g.neighbor_mask(v) & mask).bit_count()
         if dv < thr:
-            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, within_t)
+            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, _pool(within))
         common &= g.neighbor_mask(v)
-    return d, mask, common, within_t
+    return d, mask, common
 
 
 def extend_clique(
@@ -182,23 +177,31 @@ def extend_clique(
     r: int,
     eps: float,
     *,
-    within=None,
+    within: int | None = None,
     degree_threshold: float | None = None,
 ):
     """Smallest common neighbor of a clique of at most r vertices.
 
-    Checks the degree hypothesis d(v) >= (1 - 1/r + eps/3) n on every
-    clique member first (n being the restricted order); a failing vertex
-    comes back as a low-degree violation, an empty common neighborhood
-    as a clique-extension failure. ``degree_threshold`` overrides the
-    derived bound for unit tests on small graphs.
+    ``within`` is a vertex mask restricting the step to that pool (None
+    for every vertex). Checks the degree hypothesis d(v) >= (1 - 1/r +
+    eps/3) n on every clique member first (n being the pool's order); a
+    failing vertex comes back as a low-degree violation, an empty common
+    neighborhood as a clique-extension failure. ``degree_threshold``
+    overrides the derived bound for unit tests on small graphs.
+
+    With the derived bound and a nonempty pool the failure cannot
+    happen: each of the t <= r members misses at most (1/r - eps/3) n
+    pool vertices, counting itself, so together they miss at most
+    (1 - r eps/3) n < n of them and some pool vertex outside the clique
+    is adjacent to all of it. Inside the search only a rotation can
+    report an extension failure.
     """
     step = _clique_step(g, clique, r, eps, within, degree_threshold, r)
     if isinstance(step, HypothesisViolation):
         return step
-    d, _, common, within_t = step
+    d, _, common = step
     if common == 0:
-        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, within_t)
+        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, _pool(within))
     return (common & -common).bit_length() - 1
 
 
@@ -209,7 +212,7 @@ def rotate_clique(
     eps: float,
     alpha_bound: float,
     *,
-    within=None,
+    within: int | None = None,
     degree_threshold: float | None = None,
 ):
     """Grow a clique of 1 to 2r vertices by one, reusing all but at most
@@ -228,12 +231,11 @@ def rotate_clique(
     step = _clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
     if isinstance(step, HypothesisViolation):
         return step
-    d, mask, common, within_t = step
+    d, mask, common = step
     if not d:
         raise ValueError("cannot rotate an empty clique")
     if common:
-        v = (common & -common).bit_length() - 1
-        return tuple(sorted(d + (v,)))
+        return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
     dmask, adj = mask_from(d), g._adj
     buckets = dict.fromkeys(d, 0)
     for w in bits(mask & ~dmask):
@@ -244,10 +246,10 @@ def rotate_clique(
         # The first x with a neighbour in its bucket has none below it.
         for x in bits(bucket):
             if nb := adj[x] & bucket:
-                return tuple(sorted(set(d) - {v} | {x, (nb & -nb).bit_length() - 1}))
+                return tuple(bits(dmask ^ 1 << v | 1 << x | nb & -nb))
     witness = tuple(bits(max(buckets.values(), key=int.bit_count)))
     if len(witness) <= alpha_bound:
-        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, within_t)
+        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, _pool(within))
     return HypothesisViolation(
         "large-independent-set", witness, len(witness), alpha_bound, None
     )
@@ -273,11 +275,8 @@ def fan_at_vertex_r1(g: Graph, k: int):
     report carries the unmatched (hence independent) vertices of the
     densest neighborhood.
     """
-    if k < 1:
-        raise ValueError("fan needs at least one triangle")
-    for x in range(g.n):
-        if emb := _triangle_fan_at(g, x, k):
-            return emb
+    if emb := find_fan(g, FanShape(k, 3)):
+        return emb
     if g.n == 0:
         return DegreeBoundReport(None, ())
     densest = min(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -397,13 +396,13 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     if isinstance(peeled, HypothesisViolation):
         return _finish_violation(cert, peeled)
     cert.steps.append({"kind": "peel", "survivors": list(peeled)})
-    pool = set(peeled)
+    core = mask_from(peeled)
 
     base: list[int] = []
     blades: dict[int, list[tuple[int, ...]]] = {}
     prev_tuple: tuple[int, ...] = ()
     for _ in range(k ** (r + 1) + 1):
-        free = pool - {v for lst in blades.values() for b in lst for v in b}
+        free = core & ~mask_from(v for lst in blades.values() for b in lst for v in b)
         while len(base) < r + 1:
             res = extend_clique(g, base, r, eps, within=free)
             if isinstance(res, HypothesisViolation):
@@ -430,11 +429,9 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
             cert.steps.append({"kind": "rotate", "from": list(rotated), "to": list(res)})
             rotated = res
 
-        kept = set(rotated)
-        survivors = [v for v in order if v in kept]
-        if not survivors:
+        v_s = next((v for v in order if v in rotated), None)
+        if v_s is None:
             raise SearchInvariantError("rotation lost every base vertex")
-        v_s = survivors[0]
         s = order.index(v_s) + 1
         new_blade = tuple(v for v in rotated if v != v_s)
         base = order[:s]

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from heapq import heappop, heappush
 
@@ -171,7 +172,7 @@ class TestExtendClique:
 
     def test_restriction_mask(self):
         g = complete(6)
-        assert extend_clique(g, (0, 1), 3, 0.3, within=[0, 1, 4, 5], degree_threshold=0.0) == 4
+        assert extend_clique(g, (0, 1), 3, 0.3, within=0b110011, degree_threshold=0.0) == 4
 
     def test_empty_clique_seeds_smallest_vertex(self):
         assert extend_clique(complete(4), (), 2, 0.3) == 0
@@ -183,6 +184,15 @@ class TestExtendClique:
     def test_non_clique_rejected(self):
         with pytest.raises(ValueError, match="not a clique"):
             extend_clique(cycle(5), (0, 2), 2, 0.3)
+        with pytest.raises(ValueError, match="not a clique"):
+            extend_clique(complete(5), (1, 1), 2, 0.3)
+
+    def test_restriction_mask_outside_the_host_rejected(self):
+        g = complete(6)
+        for within in (1 << 6 | 0b11, -1, -0b100):
+            for step in (extend_clique, lambda *a, **kw: rotate_clique(*a[:4], 1.0, **kw)):
+                with pytest.raises(ValueError, match="restriction mask"):
+                    step(g, (0, 1), 3, 0.3, within=within, degree_threshold=0.0)
 
 
 class TestRotateClique:
@@ -233,7 +243,7 @@ class TestRotateClique:
         # Every bucket independent, the largest not above the bound: the
         # clique has no common neighbor in the pool, which is what it says.
         g = cycle(5)
-        res = rotate_clique(g, (0, 1), 2, 0.3, 1.0, within=range(4), degree_threshold=0.0)
+        res = rotate_clique(g, (0, 1), 2, 0.3, 1.0, within=0b1111, degree_threshold=0.0)
         assert res == HypothesisViolation("clique-extension-failure", (0, 1), 0, 1.0, (0, 1, 2, 3))
         assert check_violation(g, res)
 
@@ -256,8 +266,8 @@ class TestRotateClique:
                     d = _greedy_clique(g, size, start)
                     if d is None:
                         continue
-                    outside = {v for v in range(g.n) if v % 3 != i % 3}
-                    for within in (None, outside | set(d)):
+                    outside = sum(1 << v for v in range(g.n) if v % 3 != i % 3)
+                    for within in (None, outside | sum(1 << v for v in d)):
                         for alpha_bound in (0.0, 2.0):
                             args = (g, d, r, 0.3, alpha_bound)
                             kw = {"within": within, "degree_threshold": 0.0}
@@ -274,7 +284,8 @@ def list_bucket_rotation(g, clique, r, eps, alpha_bound, *, within=None, degree_
     step = finder._clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
     if isinstance(step, HypothesisViolation):
         return step
-    d, mask, common, within_t = step
+    d, mask, common = step
+    within_t = None if within is None else tuple(bits(mask))
     if common:
         return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
     dmask = sum(1 << v for v in d)
@@ -505,6 +516,22 @@ class TestFindOddFan:
             else:
                 assert verify_fan(g, out, FanShape(2, 5)) is None
             assert replay_certificate(g, cert)
+
+    def test_extension_never_fails_inside_the_search(self):
+        # extend_clique's docstring: with the derived degree bound some
+        # pool vertex always extends the base, so every extension failure
+        # comes from a rotation, whose clique has more than r vertices.
+        rng = random.Random(22_000)
+        rotation_failures = 0
+        for _ in range(1000):
+            n, r, k = rng.randint(10, 60), rng.choice((2, 3)), rng.randint(1, 4)
+            eps = rng.uniform(0.01, 0.9 * (r - 1) / r)
+            g = gnp_random(n, rng.uniform(0.4, 0.98), rng.randrange(1 << 30))
+            out, _ = find_odd_fan(g, k, r, eps)
+            if isinstance(out, HypothesisViolation) and out.kind == "clique-extension-failure":
+                assert len(out.vertices) > r, (n, r, k, eps)
+                rotation_failures += 1
+        assert rotation_failures
 
     def test_lower_bound_construction_never_yields_fan(self):
         g = rt_lower_construction(30, 2, "c5")

@@ -10,12 +10,18 @@ A second test rebuilds each certificate's format-v1 text (``indent=2``
 and two thresholds v2 no longer records) and requires the v1 digest,
 which shows that v2 changed the layout, the version and those two
 thresholds and nothing else.
+
+A third runs ``tests/cert_digest.py`` and requires its two recorded
+digests: the benchmark's seed-1 certificates and graph files.
 """
 
 import hashlib
 import json
 import marshal
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 from cliquefan.finder import (
     HypothesisViolation,
@@ -32,6 +38,11 @@ EPS = 0.3
 GRID_SHA256 = "7d7d2d93ffcefa757d1b520069222735e1cd16d35e1e5366e3dadfc850d9f397"
 # The same corpus written by the format-v1 writer below.
 V1_GRID_SHA256 = "61db5d4502b2c728f1b100a83b2a89cb03fa86a2ea6f765521fee050cad897d3"
+# What tests/cert_digest.py prints: certificates, then graph files.
+SEED1_DIGESTS = (
+    "8e1285650824f38e4b152cf11388d37834265972f3356fa3475a8ca53bbab804",
+    "909297891a256966c2536ff2befd08cfc49067a524131d07c7531de4a6e57441",
+)
 
 
 def corpus():
@@ -114,3 +125,12 @@ def test_v2_is_v1_in_one_compact_line_without_the_dropped_thresholds():
         assert replay_certificate(g, back)
     # The search itself is unchanged: v1 text rebuilt from v2 runs is the v1 corpus.
     assert v1_digest.hexdigest() == V1_GRID_SHA256
+
+
+def test_benchmark_seed1_certificates_and_graph_files_match_their_digests():
+    # A subprocess: the benchmark harness drops cliquefan from
+    # sys.modules and imports it again, which would split this session's
+    # classes from the ones the other tests hold.
+    script = Path(__file__).with_name("cert_digest.py")
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
+    assert tuple(out.stdout.split()) == SEED1_DIGESTS
