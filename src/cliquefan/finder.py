@@ -126,30 +126,25 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     return tuple(np.flatnonzero(deg < n).tolist())
 
 
-def _pool(within: int | None) -> tuple[int, ...] | None:
-    """A pool mask as the ascending tuple a violation records; numpy
-    unpacks it, since ``bits`` pays one big-int step per vertex."""
-    if within is None:
-        return None
-    row = np.frombuffer(within.to_bytes((within.bit_length() + 7) // 8, "little"), np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist())
-
-
 def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold, max_size: int):
     """Front end shared by the clique steps.
 
     Checks the clique, its size bound and the restriction mask, then the
     degree hypothesis d(v) >= (1 - 1/r + eps/3) n on every member, n
     being the restricted order. Returns the first failing member as a
-    low-degree violation, or else the clique as a sorted tuple, the
-    restriction mask and the clique's common neighbors inside it.
+    low-degree violation, or else the clique as a sorted tuple, its
+    mask, the restriction mask and the clique's common neighbors inside
+    it.
     """
     mask = (1 << g.n) - 1 if within is None else within
     if not 0 <= mask < 1 << g.n:
         raise ValueError(f"restriction mask {mask:#x} has a bit outside [0, {g.n})")
-    d = tuple(sorted(clique))
-    # A repeated vertex is not adjacent to itself, so no clique either.
-    if not is_clique(g, d) or (dmask := mask_from(d)).bit_count() < len(d):
+    vs = sorted(clique)
+    if vs and not 0 <= vs[0] <= vs[-1] < g.n:
+        raise ValueError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range for n={g.n}")
+    dmask, adj = mask_from(vs), g._adj
+    d = tuple(bits(dmask))  # repeats merge, as in a vertex set
+    if not all((adj[u] | 1 << u) & dmask == dmask for u in d):
         raise ValueError(f"{d} is not a clique")
     if dmask & ~mask:
         raise ValueError(f"clique {d} leaves the restriction")
@@ -166,9 +161,10 @@ def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold,
     for v in d:
         dv = (g.neighbor_mask(v) & mask).bit_count()
         if dv < thr:
-            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, _pool(within))
+            pool = None if within is None else tuple(bits(within))
+            return HypothesisViolation("low-degree-vertex", (v,), dv, thr, pool)
         common &= g.neighbor_mask(v)
-    return d, mask, common
+    return d, dmask, mask, common
 
 
 def extend_clique(
@@ -199,9 +195,10 @@ def extend_clique(
     step = _clique_step(g, clique, r, eps, within, degree_threshold, r)
     if isinstance(step, HypothesisViolation):
         return step
-    d, _, common = step
+    d, _, _, common = step
     if common == 0:
-        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, _pool(within))
+        pool = None if within is None else tuple(bits(within))
+        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, pool)
     return (common & -common).bit_length() - 1
 
 
@@ -231,12 +228,12 @@ def rotate_clique(
     step = _clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
     if isinstance(step, HypothesisViolation):
         return step
-    d, mask, common = step
+    d, dmask, mask, common = step
     if not d:
         raise ValueError("cannot rotate an empty clique")
     if common:
         return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
-    dmask, adj = mask_from(d), g._adj
+    adj = g._adj
     buckets = dict.fromkeys(d, 0)
     for w in bits(mask & ~dmask):
         missed = dmask & ~adj[w]
@@ -249,7 +246,8 @@ def rotate_clique(
                 return tuple(bits(dmask ^ 1 << v | 1 << x | nb & -nb))
     witness = tuple(bits(max(buckets.values(), key=int.bit_count)))
     if len(witness) <= alpha_bound:
-        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, _pool(within))
+        pool = None if within is None else tuple(bits(within))
+        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, pool)
     return HypothesisViolation(
         "large-independent-set", witness, len(witness), alpha_bound, None
     )

@@ -184,8 +184,13 @@ class TestExtendClique:
     def test_non_clique_rejected(self):
         with pytest.raises(ValueError, match="not a clique"):
             extend_clique(cycle(5), (0, 2), 2, 0.3)
-        with pytest.raises(ValueError, match="not a clique"):
-            extend_clique(complete(5), (1, 1), 2, 0.3)
+
+    def test_repeated_vertices_merge_and_out_of_range_rejected(self):
+        assert extend_clique(complete(5), (1, 1), 2, 0.3) == 0
+        assert rotate_clique(complete(5), (2, 0, 2), 2, 0.3, 1.0) == (0, 1, 2)
+        for clique in ((0, 5), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range for n=5"):
+                extend_clique(complete(5), clique, 2, 0.3)
 
     def test_restriction_mask_outside_the_host_rejected(self):
         g = complete(6)
@@ -284,7 +289,7 @@ def list_bucket_rotation(g, clique, r, eps, alpha_bound, *, within=None, degree_
     step = finder._clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
     if isinstance(step, HypothesisViolation):
         return step
-    d, mask, common = step
+    d, _, mask, common = step
     within_t = None if within is None else tuple(bits(mask))
     if common:
         return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
