@@ -27,14 +27,12 @@ from .generators import (
 )
 from .graphs import (
     Graph,
-    induced_subgraph,
     is_clique,
     is_independent,
 )
 from .invariants import (
     BudgetExceeded,
     IndependentSet,
-    greedy_independent_from_matching,
     max_independent_set,
     max_matching,
 )

@@ -23,8 +23,8 @@ from typing import Any
 import numpy as np
 
 from .generators import FanShape
-from .graphs import Graph, bits, induced_subgraph, is_clique, is_independent, mask_from
-from .invariants import greedy_independent_from_matching, max_matching
+from .graphs import Graph, bits, is_clique, is_independent, mask_from, restriction_mask, vertex_mask
+from .invariants import max_matching
 from .witness import (
     FanEmbedding,
     GeneralizedFanEmbedding,
@@ -136,13 +136,8 @@ def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold,
     mask, the restriction mask and the clique's common neighbors inside
     it.
     """
-    mask = (1 << g.n) - 1 if within is None else within
-    if not 0 <= mask < 1 << g.n:
-        raise ValueError(f"restriction mask {mask:#x} has a bit outside [0, {g.n})")
-    vs = sorted(clique)
-    if vs and not 0 <= vs[0] <= vs[-1] < g.n:
-        raise ValueError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range for n={g.n}")
-    dmask, adj = mask_from(vs), g._adj
+    mask = restriction_mask(g, within)
+    dmask, adj = vertex_mask(g, clique), g._adj
     d = tuple(bits(dmask))  # repeats merge, as in a vertex set
     if not all((adj[u] | 1 << u) & dmask == dmask for u in d):
         raise ValueError(f"{d} is not a clique")
@@ -278,10 +273,11 @@ def fan_at_vertex_r1(g: Graph, k: int):
     if g.n == 0:
         return DegreeBoundReport(None, ())
     densest = min(range(g.n), key=lambda v: (-g.degree(v), v))
-    nb = g.neighbors(densest)  # ascending, as induced_subgraph numbers them
-    sub, _ = induced_subgraph(g, nb)
-    unmatched = greedy_independent_from_matching(sub, max_matching(sub))
-    return DegreeBoundReport(densest, tuple(nb[i] for i in unmatched.members))
+    nb = g._adj[densest]
+    left = nb & ~mask_from(v for e in max_matching(g, nb) for v in e)
+    if any(g._adj[v] & left for v in bits(left)):
+        raise SearchInvariantError(f"a maximum matching of N({densest}) leaves an edge uncovered")
+    return DegreeBoundReport(densest, tuple(bits(left)))
 
 
 def search_thresholds(n: int, k: int, r: int, eps: float) -> dict[str, Any]:

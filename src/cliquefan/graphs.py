@@ -5,8 +5,8 @@ Adjacency is kept as one Python int bitmask per vertex, so neighborhood
 intersection and membership tests cost O(n/word) regardless of density.
 One packed-row builder makes every graph from edges: batches of (m, 2)
 int64 arrays are checked with array operations and set as bits of an
-(n, ceil(n/8)) uint8 matrix whose rows become the masks. Induced
-subgraphs are cut out of the masks by one numpy bit extract.
+(n, ceil(n/8)) uint8 matrix whose rows become the masks. Vertex sets
+and restrictions are range-checked here and handed on as masks.
 """
 
 from __future__ import annotations
@@ -149,50 +149,31 @@ def _checked_batch(rows: np.ndarray, n: int, batch) -> np.ndarray:
     raise TypeError("edge endpoints must be integers")
 
 
-def vertex_set(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """Normalize an iterable of ids into a sorted duplicate-free tuple.
-
-    Raises on ids outside ``[0, g.n)``.
-    """
-    vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        bad = vs[0] if vs[0] < 0 else vs[-1]
-        raise ValueError(f"vertex {bad} out of range for n={g.n}")
-    return tuple(vs)
+def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """Pack vertex ids into a bitmask; raises on ids outside ``[0, g.n)``."""
+    vs = list(vertices)
+    lo, hi = min(vs, default=0), max(vs, default=0)
+    if vs and not (0 <= lo and hi < g.n):
+        raise ValueError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
+    return mask_from(vs)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph plus the old-id to new-id bijection onto [0, |s|).
-
-    The mapping is order preserving: the smallest retained id becomes 0.
-    Each retained row is shifted down to the window ``[min s, max s]``
-    and serialised; one numpy pass unpacks the rows into a 0/1 matrix,
-    keeps the subset's columns and packs them back into bitmasks.
-    """
-    vs = vertex_set(g, vertices)
-    mapping = {v: i for i, v in enumerate(vs)}
-    if not vs:
-        return Graph._from_masks(0, (), 0), mapping
-    lo = vs[0]
-    width = (vs[-1] - lo) // 8 + 1
-    window = (1 << 8 * width) - 1
-    adj = g._adj
-    raw = b"".join(((adj[v] >> lo) & window).to_bytes(width, "little") for v in vs)
-    rows = np.frombuffer(raw, np.uint8).reshape(len(vs), width)
-    sub = np.unpackbits(rows, axis=1, bitorder="little")[:, np.array(vs) - lo]
-    data = np.packbits(sub, axis=1, bitorder="little").tobytes()
-    step = len(data) // len(vs)
-    masks = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
-    return Graph._from_masks(len(vs), masks, int(np.count_nonzero(sub)) // 2), mapping
+def restriction_mask(g: Graph, within: int | None) -> int:
+    """The vertex mask ``within``, None meaning every vertex; raises on a
+    bit outside ``[0, g.n)``."""
+    full = (1 << g.n) - 1
+    if within is None:
+        return full
+    if not 0 <= within <= full:
+        raise ValueError(f"restriction mask {within:#x} has a bit outside [0, {g.n})")
+    return within
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = vertex_set(g, vertices)
-    m = mask_from(vs)
-    return all((g._adj[u] | 1 << u) & m == m for u in vs)
+    m = vertex_mask(g, vertices)
+    return all((g._adj[u] | 1 << u) & m == m for u in bits(m))
 
 
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = vertex_set(g, vertices)
-    m = mask_from(vs)
-    return all(g._adj[u] & m == 0 for u in vs)
+    m = vertex_mask(g, vertices)
+    return all(g._adj[u] & m == 0 for u in bits(m))

@@ -6,7 +6,8 @@ The independence solver splits the graph into components and co-components,
 then runs branch and bound on each part that splits neither way, cut by a
 first-fit clique cover built one class at a time; the matching solver is a
 full augmenting-path search with blossom contraction, so odd cycles are
-handled correctly.
+handled correctly. It runs on the host's own masks inside a vertex mask,
+so the matching of an induced subgraph comes in host ids.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, is_independent, mask_from
+from .graphs import Graph, bits, mask_from, restriction_mask
 
 # Above this order an explicit budget must be supplied; the default
 # budget is counted in branch-and-bound node expansions.
@@ -60,27 +61,29 @@ def greedy_matching(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Maximum-cardinality matching, exact via blossom contraction, as its
-    edges (u, v), u < v, in ascending order."""
-    n, adj = g.n, g._adj
-    match = [-1] * n
-    for v, u in greedy_matching(adj, (1 << n) - 1):  # warm start
+def max_matching(g: Graph, within: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Maximum-cardinality matching of the subgraph induced on the vertex
+    mask ``within`` (None for every vertex), exact via blossom contraction,
+    as its edges (u, v), u < v, in ascending order. A mask with a bit
+    outside ``[0, n)`` raises ``ValueError``."""
+    mask, adj = restriction_mask(g, within), g._adj
+    match = [-1] * g.n
+    for v, u in greedy_matching(adj, mask):  # warm start
         match[v], match[u] = u, v
     # Roots are the exposed non-isolated vertices. A root that fails never
     # augments later (Edmonds 1965), so a path ends at a root after its
     # own: a root with no exposed one after it is left alone.
-    roots = [v for v in range(n) if match[v] == -1 and adj[v]]
+    roots = [v for v in bits(mask) if match[v] == -1 and adj[v] & mask]
     for i, v in enumerate(roots):
         if match[v] == -1 and any(match[w] == -1 for w in roots[i + 1:]):
-            _augment_from(g, v, match)
-    return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
+            _augment_from(adj, mask, v, match)
+    return tuple((v, match[v]) for v in bits(mask) if match[v] > v)
 
 
-def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
-    """Grow an alternating forest from ``root``; augment if an exposed
-    vertex is reached, contracting blossoms on the way."""
-    n = g.n
+def _augment_from(adj: tuple[int, ...], mask: int, root: int, match: list[int]) -> bool:
+    """Grow an alternating forest from ``root`` inside ``mask``; augment if
+    an exposed vertex is reached, contracting blossoms on the way."""
+    n = len(adj)
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -111,7 +114,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
 
     while q:
         v = q.popleft()
-        for to in g.neighbors(v):
+        for to in bits(adj[v] & mask):
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and p[match[to]] != -1):
@@ -120,7 +123,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
                 blossom = [False] * n
                 mark_path(v, curbase, to, blossom)
                 mark_path(to, curbase, v, blossom)
-                for i in range(n):
+                for i in bits(mask):
                     if blossom[base[i]]:
                         base[i] = curbase
                         if not used[i]:
@@ -283,28 +286,3 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
         else:
             found.append(kept | leaf(mask))
     return IndependentSet(tuple(bits(found[0])))
-
-
-def greedy_independent_from_matching(g: Graph, m: tuple[tuple[int, int], ...]) -> IndependentSet:
-    """Vertices missed by a maximal matching; they form an independent set
-    of size exactly ``n - 2 |m|``.
-
-    Rejects matchings that are not matchings of ``g`` or not maximal
-    (some edge of ``g`` joins two unmatched vertices).
-    """
-    seen: set[int] = set()
-    for u, v in m:
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
-        if u in seen or v in seen:
-            raise ValueError(f"vertex reused by matching edge ({u}, {v})")
-        seen.add(u)
-        seen.add(v)
-    unmatched = tuple(v for v in range(g.n) if v not in seen)
-    free = mask_from(unmatched)
-    for v in unmatched:
-        if g.neighbor_mask(v) & free:
-            u = next(bits(g.neighbor_mask(v) & free))
-            raise ValueError(f"matching is not maximal: edge ({v}, {u}) is uncovered")
-    assert is_independent(g, unmatched)
-    return IndependentSet(unmatched)

@@ -2,10 +2,10 @@
 
 This module is the independent baseline for every search path in the
 package, so it deliberately shares no algorithm with them. On one graph,
-containment is checked by raw injection backtracking and independence by
-subset enumeration; extremal values come from one array scan of edge
-codes against every placement of the pattern and of K_{cap+1}. Witness
-ties always resolve to the smallest edge code.
+containment is checked by raw injection backtracking; extremal values
+come from one array scan of edge codes against every placement of the
+pattern and of K_{cap+1}. Witness ties always resolve to the smallest
+edge code.
 """
 
 from __future__ import annotations
@@ -50,20 +50,6 @@ def edge_code(g: Graph) -> int:
         if g.has_edge(u, v):
             code |= 1 << i
     return code
-
-
-def brute_alpha(g: Graph) -> int:
-    """Independence number by enumerating all vertex subsets."""
-    adj = g._adj
-    best = 0
-    for mask in range(1 << g.n):
-        if mask.bit_count() > best:
-            m = mask
-            while m and not adj[(m & -m).bit_length() - 1] & mask:
-                m &= m - 1
-            if not m:
-                best = mask.bit_count()
-    return best
 
 
 def naive_contains(g: Graph, pattern: Graph) -> bool:

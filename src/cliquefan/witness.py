@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .generators import FanShape
-from .graphs import Graph, induced_subgraph, is_clique, mask_from
+from .graphs import Graph, is_clique, mask_from
 from .invariants import greedy_matching, max_matching
 
 
@@ -64,16 +64,13 @@ def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
     """The fan of k triangles through ``center``, or None when its
     neighborhood holds fewer than k disjoint edges (nu < k). Two exact
     bounds settle most centers on the host's masks: nu <= d/2, and
-    nu <= 2 |greedy matching|. A maximum matching of the induced
-    neighborhood decides the rest and gives the blades."""
+    nu <= 2 |greedy matching|. A maximum matching inside the
+    neighborhood's mask decides the rest and gives the blades."""
     nbhd = g._adj[center]
     if nbhd.bit_count() < 2 * k or 2 * len(greedy_matching(g._adj, nbhd)) < k:
         return None
-    nb = g.neighbors(center)  # ascending, as induced_subgraph numbers them
-    mm = max_matching(induced_subgraph(g, nb)[0])
-    if len(mm) < k:
-        return None
-    return FanEmbedding(center, tuple((nb[a], nb[b]) for a, b in mm[:k]))
+    mm = max_matching(g, nbhd)
+    return FanEmbedding(center, mm[:k]) if len(mm) >= k else None
 
 
 def find_fan(g: Graph, shape: FanShape) -> FanEmbedding | None:

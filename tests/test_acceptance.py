@@ -24,10 +24,11 @@ from cliquefan.generators import (
     rt_lower_construction,
     turan_graph,
 )
-from cliquefan.graphs import induced_subgraph, is_clique, is_independent
+from cliquefan.graphs import is_clique, is_independent
 from cliquefan.invariants import max_independent_set
 from cliquefan.oracle import exact_ex, exact_rt, graph_from_code, naive_contains, pair_count
 from cliquefan.witness import FanEmbedding, find_fan, verify_fan
+from util import induced_subgraph
 
 
 def _report(num: int, text: str) -> None:

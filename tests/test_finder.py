@@ -25,15 +25,11 @@ from cliquefan.generators import (
     rt_lower_construction,
     turan_graph,
 )
-from cliquefan.graphs import Graph, bits, induced_subgraph, is_clique, is_independent
-from cliquefan.invariants import (
-    greedy_independent_from_matching,
-    max_independent_set,
-    max_matching,
-)
+from cliquefan.graphs import Graph, bits, is_clique, is_independent
+from cliquefan.invariants import max_independent_set, max_matching
 from cliquefan.oracle import graph_from_code, pair_count
 from cliquefan.witness import FanEmbedding, find_fan, verify_fan
-from util import complete, cycle, empty_witness_rotation, petersen, star, wheel4
+from util import complete, cycle, empty_witness_rotation, induced_subgraph, petersen, star, wheel4
 
 
 class TestPeel:
@@ -343,6 +339,12 @@ class TestFanAtVertexR1:
         assert fan_at_vertex_r1(g, 1) == DegreeBoundReport(0, (1, 4, 5))
         assert all(is_independent(g, g.neighbors(x)) for x in range(g.n))
 
+    def test_uncovered_edge_in_the_report_raises(self, monkeypatch):
+        # A matching that is not maximal leaves an edge of N(x) uncovered.
+        monkeypatch.setattr(finder, "max_matching", lambda g, within: ())
+        with pytest.raises(finder.SearchInvariantError, match="uncovered"):
+            fan_at_vertex_r1(wheel4(), 3)
+
     def test_screen_matches_the_matching_scan(self):
         # Reference: a maximum matching of every neighbourhood, in order.
         def reference(g, k):
@@ -371,8 +373,8 @@ class TestFanAtVertexR1:
             x = min(range(g.n), key=lambda v: (-g.degree(v), v))
             sub, mapping = induced_subgraph(g, g.neighbors(x))
             back = {i: v for v, i in mapping.items()}
-            left = greedy_independent_from_matching(sub, max_matching(sub)).members
-            return DegreeBoundReport(x, tuple(sorted(back[i] for i in left)))
+            matched = {back[i] for e in max_matching(sub) for i in e}
+            return DegreeBoundReport(x, tuple(sorted(set(mapping) - matched)))
 
         hosts = [gnp_random(4 + s % 20, (0.2, 0.4, 0.6, 0.8)[s % 4], 91_000 + s) for s in range(60)]
         for a in (4, 6, 9):

@@ -17,11 +17,10 @@ from cliquefan.generators import (
     triangle_free_process,
     turan_graph,
 )
-from cliquefan.graphs import Graph, induced_subgraph, is_clique
+from cliquefan.graphs import Graph, is_clique
 from cliquefan.invariants import max_independent_set, max_matching
-from cliquefan.oracle import brute_alpha
 from cliquefan.witness import GeneralizedFanEmbedding, find_fan, verify_generalized_fan
-from util import complete, cycle, min_code
+from util import brute_alpha, complete, cycle, induced_subgraph, min_code
 
 
 class TestShapes:

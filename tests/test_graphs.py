@@ -3,14 +3,8 @@ import random
 import pytest
 
 from cliquefan.generators import gnp_random, turan_graph
-from cliquefan.graphs import (
-    Graph,
-    induced_subgraph,
-    is_clique,
-    is_independent,
-    vertex_set,
-)
-from util import complete, cycle, petersen
+from cliquefan.graphs import Graph, bits, is_clique, is_independent, vertex_mask
+from util import complete, cycle, induced_subgraph, petersen
 
 
 class TestConstruction:
@@ -83,7 +77,7 @@ class TestInducedSubgraph:
 
 def loop_induced_subgraph(g, vertices):
     """The pairwise double loop the bit extract replaced, kept as reference."""
-    vs = vertex_set(g, vertices)
+    vs = tuple(bits(vertex_mask(g, vertices)))
     masks, size = [], 0
     for v in vs:
         row, m = g.neighbor_mask(v), 0
@@ -148,3 +142,6 @@ def test_membership_predicates():
     assert not is_clique(g, [0, 1, 2])
     assert is_independent(g, [0, 2])
     assert not is_independent(g, [0, 1])
+    for check, vs, bad in ((is_clique, [0, 5], 5), (is_independent, [2, -1], -1), (is_clique, [7, -2], -2)):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=5$"):
+            check(g, vs)

@@ -3,18 +3,18 @@ import random
 import pytest
 
 from cliquefan.generators import gnp_random, rt_lower_construction, triangle_free_process
-from cliquefan.graphs import Graph, bits, induced_subgraph, is_independent, mask_from
+from cliquefan.finder import DegreeBoundReport, fan_at_vertex_r1
+from cliquefan.graphs import Graph, bits, is_independent, mask_from
 from cliquefan.invariants import (
     BudgetExceeded,
     IndependentSet,
     _augment_from,
-    greedy_independent_from_matching,
     greedy_matching,
     max_independent_set,
     max_matching,
 )
-from cliquefan.oracle import brute_alpha, graph_from_code, pair_count
-from util import brute_nu, complete, cycle, petersen, star
+from cliquefan.oracle import graph_from_code, pair_count
+from util import brute_alpha, brute_nu, complete, cycle, induced_subgraph, petersen, star
 
 
 class TestMaxMatching:
@@ -86,7 +86,7 @@ class TestMaxMatching:
                     free ^= (1 << v) | (1 << u)
             for v in range(n):
                 if match[v] == -1 and g.neighbor_mask(v):
-                    _augment_from(g, v, match)
+                    _augment_from(g._adj, (1 << n) - 1, v, match)
             return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
 
         for seed in range(320):
@@ -104,8 +104,32 @@ class TestMaxMatching:
             assert covered & mask == covered and len(pairs) * 2 == covered.bit_count()
             rest = mask & ~covered
             assert all(not g.neighbor_mask(v) & rest for v in bits(rest))
-            sub, _ = induced_subgraph(g, list(bits(mask)))
-            assert len(pairs) <= len(max_matching(sub)) <= 2 * len(pairs)
+            assert len(pairs) <= len(max_matching(g, mask)) <= 2 * len(pairs)
+
+    def test_within_matches_the_induced_copy(self):
+        # The matching inside a mask is the matching of the induced copy,
+        # which numbers the mask's vertices in ascending order, mapped back.
+        def copy_matching(g, mask):
+            sub, mapping = induced_subgraph(g, bits(mask))
+            back = {i: v for v, i in mapping.items()}
+            return tuple((back[a], back[b]) for a, b in max_matching(sub))
+
+        rng = random.Random(8300)
+        for seed in range(1200):
+            n = 1 + seed % 48
+            g = gnp_random(n, (0.1, 0.25, 0.5, 0.75, 0.95)[seed % 5], 8300 + seed)
+            full = (1 << n) - 1
+            mask = (0, full, rng.getrandbits(n))[min(seed % 8, 2)]
+            want = copy_matching(g, mask)
+            assert max_matching(g, mask) == want, f"seed={seed}"
+            if mask == full:
+                assert max_matching(g) == want, f"seed={seed}"
+
+    def test_within_with_a_bit_outside_the_host_rejected(self):
+        g = cycle(5)
+        for within in (1 << 5, 1 << 5 | 0b11, -1):
+            with pytest.raises(ValueError, match="restriction mask"):
+                max_matching(g, within)
 
 
 class TestMaxIndependentSet:
@@ -431,32 +455,31 @@ class TestMatchingIndependenceInequality:
 
 
 class TestGreedyIndependentFromMatching:
+    """The vertices a maximum matching of N(x) leaves, as fan_at_vertex_r1
+    reports them for the densest x: independent, and deg - 2 nu of them."""
+
     def test_odd_cycle_leftover(self):
-        g = cycle(5)
-        ind = greedy_independent_from_matching(g, max_matching(g))
-        assert len(ind) == 1
-        assert is_independent(g, ind.members)
+        g = Graph(6, list(cycle(5).edges()) + [(v, 5) for v in range(5)])  # hub 5 over C5
+        assert fan_at_vertex_r1(g, 3) == DegreeBoundReport(5, (4,))
 
     def test_perfect_matching_leaves_nothing(self):
-        g = complete(4)
-        assert greedy_independent_from_matching(g, max_matching(g)).members == ()
+        assert fan_at_vertex_r1(complete(5), 3) == DegreeBoundReport(0, ())
 
     def test_star_leaves_other_leaves(self):
-        g = star(5)
-        ind = greedy_independent_from_matching(g, ((0, 1),))
-        assert ind.members == (2, 3, 4, 5)
+        g = Graph(6, list(star(5).edges()) + [(1, 2)])
+        assert fan_at_vertex_r1(g, 2) == DegreeBoundReport(0, (3, 4, 5))
 
     def test_size_bound(self):
-        for seed in range(100):
-            g = gnp_random(14, 0.4, 41_000 + seed)
-            mm = max_matching(g)
-            ind = greedy_independent_from_matching(g, mm)
-            assert len(ind) == g.n - 2 * len(mm)
-
-    def test_rejects_non_maximal_matching(self):
-        with pytest.raises(ValueError, match="not maximal"):
-            greedy_independent_from_matching(cycle(6), ((0, 1),))
-
-    def test_rejects_foreign_edges(self):
-        with pytest.raises(ValueError, match="not an edge"):
-            greedy_independent_from_matching(cycle(5), ((0, 2),))
+        seen = 0
+        for seed in range(200):
+            g = gnp_random(8 + seed % 12, (0.2, 0.4, 0.6)[seed % 3], 41_000 + seed)
+            rep = fan_at_vertex_r1(g, 1 + seed % 4)
+            if not isinstance(rep, DegreeBoundReport):
+                continue
+            seen += 1
+            x, left = rep.densest_vertex, rep.independent_set
+            assert is_independent(g, left), f"seed={seed}"
+            assert set(left) <= set(g.neighbors(x))
+            nu = len(max_matching(induced_subgraph(g, g.neighbors(x))[0]))
+            assert len(left) == g.degree(x) - 2 * nu, f"seed={seed}"
+        assert seen >= 50

@@ -4,7 +4,6 @@ import pytest
 
 from cliquefan.generators import FanShape, fan_graph, gnp_random, rt_lower_construction
 from cliquefan.oracle import (
-    brute_alpha,
     edge_code,
     exact_ex,
     exact_rt,
@@ -14,7 +13,7 @@ from cliquefan.oracle import (
     pair_count,
 )
 from cliquefan.witness import find_fan
-from util import complete, cycle, min_code, petersen
+from util import brute_alpha, complete, cycle, min_code, petersen
 
 TRIANGLE = FanShape(1, 3)
 

@@ -1,9 +1,12 @@
 """Small graph builders and brute-force references shared across the test modules."""
 
+from collections.abc import Iterable
 from itertools import permutations
 
+import numpy as np
+
 from cliquefan.finder import HypothesisViolation
-from cliquefan.graphs import Graph
+from cliquefan.graphs import Graph, bits, vertex_mask
 from cliquefan.oracle import edge_code
 
 PETERSEN_EDGES = [
@@ -69,3 +72,42 @@ def brute_nu(g: Graph) -> int:
         return best
 
     return rec(0, 0)
+
+
+def brute_alpha(g: Graph) -> int:
+    """Independence number by enumerating all vertex subsets."""
+    adj = g._adj
+    best = 0
+    for mask in range(1 << g.n):
+        if mask.bit_count() > best:
+            m = mask
+            while m and not adj[(m & -m).bit_length() - 1] & mask:
+                m &= m - 1
+            if not m:
+                best = mask.bit_count()
+    return best
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph plus the old-id to new-id bijection onto [0, |s|).
+
+    The mapping is order preserving: the smallest retained id becomes 0.
+    Each retained row is shifted down to the window ``[min s, max s]``
+    and serialised; one numpy pass unpacks the rows into a 0/1 matrix,
+    keeps the subset's columns and packs them back into bitmasks.
+    """
+    vs = tuple(bits(vertex_mask(g, vertices)))
+    mapping = {v: i for i, v in enumerate(vs)}
+    if not vs:
+        return Graph._from_masks(0, (), 0), mapping
+    lo = vs[0]
+    width = (vs[-1] - lo) // 8 + 1
+    window = (1 << 8 * width) - 1
+    adj = g._adj
+    raw = b"".join(((adj[v] >> lo) & window).to_bytes(width, "little") for v in vs)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(vs), width)
+    sub = np.unpackbits(rows, axis=1, bitorder="little")[:, np.array(vs) - lo]
+    data = np.packbits(sub, axis=1, bitorder="little").tobytes()
+    step = len(data) // len(vs)
+    masks = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    return Graph._from_masks(len(vs), masks, int(np.count_nonzero(sub)) // 2), mapping
