@@ -261,18 +261,16 @@ class DegreeBoundReport:
 def fan_at_vertex_r1(g: Graph, k: int):
     """Fan of k triangles through a single vertex, or a degree-bound report.
 
-    Centers go in ascending order; x works exactly when the matching
-    number nu of G[N(x)] reaches k, which the scan decides from nu <= d/2
-    and nu <= twice a greedy matching in N(x) first. When no center
-    works, every vertex obeys d(x) <= alpha(G[N(x)]) + 2 (k - 1), and the
-    report carries the unmatched (hence independent) vertices of the
-    densest neighborhood.
+    The fan is :func:`find_fan`'s, whose bounds on nu(G[N(x)]) carry
+    Tutte-Berge barriers. When no center works, nu(G[N(x)]) <= k - 1 for
+    every x, and the vertices a maximum matching of N(x) leaves are
+    independent, so d(x) <= alpha(G[N(x)]) + 2 (k - 1). The report
+    carries those vertices for the densest x (ties to the smallest id).
     """
     if emb := find_fan(g, FanShape(k, 3)):
         return emb
-    if g.n == 0:
+    if (densest := max(range(g.n), key=lambda v: g._adj[v].bit_count(), default=None)) is None:
         return DegreeBoundReport(None, ())
-    densest = min(range(g.n), key=lambda v: (-g.degree(v), v))
     nb = g._adj[densest]
     left = nb & ~mask_from(v for e in max_matching(g, nb) for v in e)
     if any(g._adj[v] & left for v in bits(left)):

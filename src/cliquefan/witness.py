@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .generators import FanShape
 from .graphs import Graph, is_clique, mask_from
 from .invariants import greedy_matching, max_matching
+
+TRIANGLE_BLOCK_WORDS = 1 << 14  # row words per block of triangle_counts
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,10 @@ def _cliques_within(adj: tuple[int, ...], avail: int, size: int):
 
 
 def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
-    """The fan of k triangles through ``center``, or None when its
-    neighborhood holds fewer than k disjoint edges (nu < k). Two exact
-    bounds settle most centers on the host's masks: nu <= d/2, and
-    nu <= 2 |greedy matching|. A maximum matching inside the
-    neighborhood's mask decides the rest and gives the blades."""
+    """The fan of k triangles through ``center``, or None when nu(G[N]) < k.
+    Two Tutte-Berge barriers settle most centers on the host's masks: U =
+    {} gives nu <= d/2, and U = a greedy maximal matching's vertices gives
+    nu <= 2 |greedy|. A maximum matching inside N decides the rest."""
     nbhd = g._adj[center]
     if nbhd.bit_count() < 2 * k or 2 * len(greedy_matching(g._adj, nbhd)) < k:
         return None
@@ -73,20 +76,44 @@ def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
     return FanEmbedding(center, mm[:k]) if len(mm) >= k else None
 
 
+def triangle_counts(g: Graph, first: int, least: int):
+    """Yield (x, t(x)) for each x >= ``first`` with d(x) >= ``least``, in
+    order; t(x) counts the non-isolated vertices of G[N(x)]. Each block of
+    about TRIANGLE_BLOCK_WORDS words ANDs the uint64 rows of its edge ends."""
+    w = (g.n + 63) // 64
+    rows = np.frombuffer(b"".join(m.to_bytes(8 * w, "little") for m in g._adj), "<u8").reshape(g.n, w)
+    deg = np.bitwise_count(rows).sum(axis=1)
+    centers = np.flatnonzero(deg[first:] >= least) + first
+    starts = np.cumsum(deg[centers] * w) - deg[centers] * w
+    for block in np.split(centers, np.flatnonzero(np.diff(starts // TRIANGLE_BLOCK_WORDS)) + 1):
+        i, j = np.nonzero(sub := rows[block])
+        f = np.flatnonzero(np.unpackbits(sub[i, j].view(np.uint8), bitorder="little"))
+        i, hit = i[f >> 6], (sub[i[f >> 6]] & rows[64 * j[f >> 6] + (f & 63)]).any(1)
+        yield from zip(block.tolist(), np.bincount(i[hit], minlength=len(block)).tolist())
+
+
 def find_fan(g: Graph, shape: FanShape) -> FanEmbedding | None:
     """Complete search for a fan of ``shape.k`` cliques of order ``shape.r``.
 
-    For triangles the per-center test is a maximum matching in the
-    neighborhood (k disjoint edges there are exactly k triangles through
-    the center). For other clique orders the search backtracks over
-    disjoint (r-1)-cliques inside the neighborhood, ordering blade
-    families by their smallest vertices.
+    For triangles, x works exactly when nu(G[N(x)]) >= k, which
+    :func:`_triangle_fan_at` decides; once the centers it rejected have
+    walked n neighbours, t(x) < 2k settles later ones (Tutte-Berge, U = {}:
+    the d - t isolated vertices of G[N(x)] are odd components). Other orders
+    backtrack over disjoint (r-1)-cliques in N(x), smallest vertices first.
     """
     k, r = shape.k, shape.r
     if shape.vertex_count > g.n:
         return None
     if r == 3:
-        return next(filter(None, (_triangle_fan_at(g, x, k) for x in range(g.n))), None)
+        spent = 0
+        for x in range(g.n):
+            if emb := _triangle_fan_at(g, x, k):
+                return emb
+            spent += d if (d := g._adj[x].bit_count()) >= 2 * k else 0
+            if spent >= g.n:  # the rows to pack cost about what the scan spent
+                live = (y for y, t in triangle_counts(g, x + 1, 2 * k) if t >= 2 * k)
+                return next(filter(None, (_triangle_fan_at(g, y, k) for y in live)), None)
+        return None
     adj = g._adj
     for x in range(g.n):
         if g.degree(x) < (r - 1) * k:

@@ -5,7 +5,7 @@ from heapq import heappop, heappush
 
 import pytest
 
-from cliquefan import finder
+from cliquefan import finder, witness
 from cliquefan.finder import (
     DegreeBoundReport,
     HypothesisViolation,
@@ -23,6 +23,7 @@ from cliquefan.generators import (
     FanShape,
     gnp_random,
     rt_lower_construction,
+    triangle_free_process,
     turan_graph,
 )
 from cliquefan.graphs import Graph, bits, is_clique, is_independent
@@ -345,9 +346,27 @@ class TestFanAtVertexR1:
         with pytest.raises(finder.SearchInvariantError, match="uncovered"):
             fan_at_vertex_r1(wheel4(), 3)
 
+    @staticmethod
+    def pass_hosts():
+        """Hosts on which the scan starts its count pass, with their k.
+        K_{40,40} on sides {0..39} and {40..79} plus an m-matching in the
+        first side: centre 40 is the first with m disjoint edges, and
+        t(40) = 2m exactly. With sides {0, 1, 4..41} and {2, 3, 42..79}
+        and two matching edges in the first, the pass starts after
+        centre 1 and the fan is at centre 2."""
+        bipartite = [(u, v) for u in range(40) for v in range(40, 80)]
+        hosts = [(Graph(80, bipartite + [(2 * i, 2 * i + 1) for i in range(m)]), (1, 2, m, m + 1))
+                 for m in (1, 2, 3)]
+        side = [0, 1, *range(4, 42)]
+        early = [(u, v) for u in side for v in range(80) if v not in side] + [(4, 5), (6, 7)]
+        hosts.append((Graph(80, early), (1, 2, 3)))
+        hosts += [(triangle_free_process(120, s), (1, 2, 3)) for s in (5, 6)]
+        return hosts + [(gnp_random(400, 0.01, 93_001), (1, 2))]
+
     def test_screen_matches_the_matching_scan(self):
         # Reference: a maximum matching of every neighbourhood, in order.
         def reference(g, k):
+            spent = 0  # neighbours walked by the rejected centres of degree >= 2k
             for x in range(g.n):
                 sub, mapping = induced_subgraph(g, g.neighbors(x))
                 back = {i: v for v, i in mapping.items()}
@@ -359,8 +378,11 @@ class TestFanAtVertexR1:
                     if v in free and u is not None:
                         free -= {u, v}
                         greedy += 1
+                non_isolated = sum(1 for v in range(sub.n) if sub.degree(v))
                 if d < 2 * k:
                     hit.add("d < 2k")
+                elif spent >= g.n and non_isolated < 2 * k:
+                    hit.add("t < 2k")
                 elif 2 * greedy < k:
                     hit.add("2g < k")
                 else:
@@ -368,6 +390,7 @@ class TestFanAtVertexR1:
                 if len(mm) >= k:
                     blades = sorted(tuple(sorted((back[a], back[b]))) for a, b in mm)
                     return FanEmbedding(x, tuple(blades[:k]))
+                spent += d if d >= 2 * k else 0
             if g.n == 0:
                 return DegreeBoundReport(None, ())
             x = min(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -381,13 +404,38 @@ class TestFanAtVertexR1:
             bipartite = [(u, v) for u in range(a) for v in range(a, 2 * a)]
             for m in range(a // 2 + 1):
                 hosts.append(Graph(2 * a, bipartite + [(2 * i, 2 * i + 1) for i in range(m)]))
+        cases = [(g, range(1, max(map(g.degree, range(g.n)), default=0) // 2 + 2)) for g in hosts]
         hit: set[str] = set()
-        for g in hosts:
-            for k in range(1, max(map(g.degree, range(g.n)), default=0) // 2 + 2):
+        for g, ks in cases + self.pass_hosts():
+            for k in ks:
                 want = reference(g, k)
                 assert fan_at_vertex_r1(g, k) == want
                 assert find_fan(g, FanShape(k, 3)) == (want if isinstance(want, FanEmbedding) else None)
-        assert hit == {"d < 2k", "2g < k", "full, nu < k", "full, nu >= k"}
+        assert hit == {"d < 2k", "t < 2k", "2g < k", "full, nu < k", "full, nu >= k"}
+
+    def test_count_pass_runs_only_past_a_rejected_centre(self, monkeypatch):
+        counted = witness.triangle_counts
+        passes: list[int] = []
+
+        def counting(g, first, least):
+            passes.append(0)
+            assert least == 2 * k
+            for x, t in counted(g, first, least):
+                assert g.degree(x) >= least
+                passes[-1] += 1
+                yield x, t
+
+        monkeypatch.setattr(witness, "triangle_counts", counting)
+        for g, ks in self.pass_hosts():
+            k = ks[-1]  # the first centre fails
+            passes.clear()
+            fan_at_vertex_r1(g, k)
+            assert len(passes) == 1 and passes[0] > 0
+        # The first centre succeeds; no centre has degree 2k.
+        for g, k in ((wheel4(), 2), (complete(8), 3), (turan_graph(80, 2), 21), (petersen(), 2)):
+            passes.clear()
+            fan_at_vertex_r1(g, k)
+            assert passes == []
 
     def test_degree_bound_from_report(self):
         # Wherever no fan exists, d(x) <= alpha(N(x)) + 2 (k - 1).

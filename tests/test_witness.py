@@ -1,12 +1,16 @@
+import tracemalloc
+
 import pytest
 
+from cliquefan import witness
 from cliquefan.generators import FanShape, fan_graph, gnp_random, turan_graph
-from cliquefan.graphs import Graph
+from cliquefan.graphs import Graph, bits
 from cliquefan.oracle import graph_from_code, naive_contains, pair_count
 from cliquefan.witness import (
     FanEmbedding,
     GeneralizedFanEmbedding,
     find_fan,
+    triangle_counts,
     verify_fan,
     verify_generalized_fan,
 )
@@ -89,6 +93,41 @@ class TestFindFan:
         for k in (1, 2):
             cut = FanEmbedding(emb.center, emb.blades[:k])
             assert verify_fan(g, cut, FanShape(k, 3)) is None
+
+
+class TestTriangleCounts:
+    """t(x) counts the non-isolated vertices of G[N(x)]: both ends of each
+    edge uv with a common neighbour x."""
+
+    @pytest.mark.parametrize("block", [witness.TRIANGLE_BLOCK_WORDS, 1])
+    def test_counts_match_a_per_edge_count(self, block, monkeypatch):
+        monkeypatch.setattr(witness, "TRIANGLE_BLOCK_WORDS", block)
+        for n in (0, 1, 2, 63, 64, 65, 129, 200):
+            for p in (0.03, 0.2, 0.6):
+                g = gnp_random(n, p, 71_000 + n)
+                # Each edge (v, u) whose ends share a neighbour x puts v, and
+                # u, among the non-isolated vertices of G[N(x)].
+                ends = [set() for _ in range(n)]
+                for v, u in g.edges():
+                    for x in bits(g._adj[v] & g._adj[u]):
+                        ends[x] |= {v, u}
+                want = [len(e) for e in ends]
+                assert list(triangle_counts(g, 0, 0)) == list(enumerate(want)), (n, p)
+                for first, least in ((0, 5), (n // 2, 2), (n, 0)):
+                    got = list(triangle_counts(g, first, least))
+                    assert got == [(x, want[x]) for x in range(first, n) if g.degree(x) >= least]
+
+    def test_pass_memory_stays_blocked(self):
+        # K_{500, 500}: every centre past the first few is settled by the
+        # counts; an unblocked pass would gather about 128 MB of rows.
+        g = turan_graph(1000, 2)
+        tracemalloc.start()
+        try:
+            assert find_fan(g, FanShape(1, 3)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
 
 class TestVerifyFan:
