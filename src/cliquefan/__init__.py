@@ -1,13 +1,11 @@
 """Odd-clique-fan search in dense graphs, with exact desk-scale oracles."""
 
 from .finder import (
-    DegreeBoundReport,
     HypothesisViolation,
     SearchCertificate,
     SearchInvariantError,
     check_violation,
     extend_clique,
-    fan_at_vertex_r1,
     find_odd_fan,
     peel_dense_subgraph,
     replay_certificate,

@@ -248,36 +248,6 @@ def rotate_clique(
     )
 
 
-@dataclass(frozen=True)
-class DegreeBoundReport:
-    """Outcome of the triangle-fan scan when no vertex carries k disjoint
-    triangles: the densest vertex and the independent set left unmatched
-    by a maximum matching of its neighborhood."""
-
-    densest_vertex: int | None
-    independent_set: tuple[int, ...]
-
-
-def fan_at_vertex_r1(g: Graph, k: int):
-    """Fan of k triangles through a single vertex, or a degree-bound report.
-
-    The fan is :func:`find_fan`'s, whose bounds on nu(G[N(x)]) carry
-    Tutte-Berge barriers. When no center works, nu(G[N(x)]) <= k - 1 for
-    every x, and the vertices a maximum matching of N(x) leaves are
-    independent, so d(x) <= alpha(G[N(x)]) + 2 (k - 1). The report
-    carries those vertices for the densest x (ties to the smallest id).
-    """
-    if emb := find_fan(g, FanShape(k, 3)):
-        return emb
-    if (densest := max(range(g.n), key=lambda v: g._adj[v].bit_count(), default=None)) is None:
-        return DegreeBoundReport(None, ())
-    nb = g._adj[densest]
-    left = nb & ~mask_from(v for e in max_matching(g, nb) for v in e)
-    if any(g._adj[v] & left for v in bits(left)):
-        raise SearchInvariantError(f"a maximum matching of N({densest}) leaves an edge uncovered")
-    return DegreeBoundReport(densest, tuple(bits(left)))
-
-
 def search_thresholds(n: int, k: int, r: int, eps: float) -> dict[str, Any]:
     """The constants the search derives, as the certificate records them.
 
@@ -453,25 +423,25 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
 
 
 def _find_odd_fan_r1(g: Graph, k: int, eps: float, cert: SearchCertificate):
-    res = fan_at_vertex_r1(g, k)
-    if isinstance(res, FanEmbedding):
-        cert.steps.append({"kind": "r1-scan", "center": res.center})
-        cert.outcome = _embedding_dict(res)
-        return res, cert
-    cert.steps.append({"kind": "r1-scan", "center": None})
-    n = g.n
-    bound = eps * n + 2 * (k - 1)
-    if res.densest_vertex is not None and g.degree(res.densest_vertex) > bound:
-        # No fan forces nu(N(x)) <= k - 1, so the unmatched leftovers of
-        # the densest neighborhood form an independent set beating eps n.
-        viol = HypothesisViolation(
-            "large-independent-set",
-            res.independent_set,
-            len(res.independent_set),
-            eps * n,
-        )
-    else:
+    """:func:`find_fan`'s F_k(3), or a violation. With no fan, nu(G[N(x)]) <= k - 1, so
+    the vertices a maximum matching of N(x) leaves are independent and d(x) <=
+    alpha(G[N(x)]) + 2 (k - 1). Those of the densest x (ties to the smallest id) beat
+    eps n unless every degree, and so 2 |E| / n, is at most eps n + 2 (k - 1)."""
+    emb = find_fan(g, FanShape(k, 3))
+    cert.steps.append({"kind": "r1-scan", "center": None if emb is None else emb.center})
+    if emb is not None:
+        cert.outcome = _embedding_dict(emb)
+        return emb, cert
+    n, adj, bound = g.n, g._adj, eps * g.n + 2 * (k - 1)
+    x = max(range(n), key=g.degree, default=None)
+    if x is None or g.degree(x) <= bound:
         viol = HypothesisViolation("edge-deficiency", (), g.size, bound * n / 2.0)
+    else:
+        left = adj[x] & ~mask_from(v for e in max_matching(g, adj[x]) for v in e)
+        if any(adj[v] & left for v in bits(left)):
+            raise SearchInvariantError(f"a maximum matching of N({x}) leaves an edge uncovered")
+        vs = tuple(bits(left))
+        viol = HypothesisViolation("large-independent-set", vs, len(vs), eps * n)
     return _finish_violation(cert, viol)
 
 

@@ -157,8 +157,8 @@ def _blade_problem(g: Graph, center: int, blade, size: int, seen: set[int]) -> s
 
 
 def verify_fan(g: Graph, e: FanEmbedding, shape: FanShape) -> str | None:
-    """None when the embedding is a valid fan of the given shape in ``g``,
-    else the first violated constraint."""
+    """None when the embedding is a valid fan of the given shape in ``g``, with
+    exactly ``shape.k`` blades, else the first violated constraint."""
     if not 0 <= e.center < g.n:
         return f"center {e.center} out of range"
     if len(e.blades) != shape.k:

@@ -1,0 +1,112 @@
+"""Hand mutants of the checkers that share no code with the search.
+
+Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
+of the package and its tests, then runs the checker tests there
+(``test_finder.py``, ``test_witness.py`` and ``test_graphs.py``, stopping
+at the first failure). A mutant is killed when some test fails and
+survives when all pass. The two equivalent mutants cannot change any
+result; they are listed with their reason and not run.
+
+Run from anywhere with ``python3 tests/mutants.py``. It uses only the
+standard library, runs one pytest process at a time, and exits 1 if a
+killable mutant survives or the unmutated copy fails its tests. Pytest
+does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_finder.py", "tests/test_witness.py", "tests/test_graphs.py"]
+
+# (name, module, snippet, replacement); each snippet occurs once in its module.
+MUTANTS = [
+    ("large-independent-set: drop is_independent(g, vs)", "finder.py",
+     "is_independent(g, vs)\n", "True\n"),
+    ("clique-extension-failure: drop the is_clique(g, vs) test", "finder.py",
+     "if not is_clique(g, vs):", "if False:"),
+    ("edge-deficiency: drop <= violation.threshold", "finder.py",
+     "violation.observed == g.size <= violation.threshold", "violation.observed == g.size"),
+    ("large-independent-set: > to >=", "finder.py",
+     "violation.observed > violation.threshold", "violation.observed >= violation.threshold"),
+    ("low-degree-vertex: < to <=", "finder.py",
+     "dv < violation.threshold", "dv <= violation.threshold"),
+    ("verify_fan: len(e.blades) != shape.k to <", "witness.py",
+     "len(e.blades) != shape.k", "len(e.blades) < shape.k"),
+    ("clique-extension-failure: drop observed == 0 < threshold", "finder.py",
+     "common == 0 and violation.observed == 0 < violation.threshold", "common == 0"),
+    ("verify_fan: drop the duplicate-vertex test", "witness.py",
+     "if v in seen:", "if False:"),
+    ("verify_generalized_fan: drop the base-clique test", "witness.py",
+     "if not is_clique(g, e.base):", "if False:"),
+    ("verify_generalized_fan: drop the duplicate-base test", "witness.py",
+     "if len(set(e.base)) != len(e.base):", "if False:"),
+    ("_blade_problem: edge loop starts one vertex late", "witness.py",
+     "for v in group[i + 1:]:", "for v in group[i + 2:]:"),
+    ("verify_certificate: no replay", "finder.py",
+     "if not replay_certificate(g, cert):", "if False:"),
+]
+
+EQUIVALENT = [
+    ("check_violation: drop common &= ~mask_from(vs)",
+     "a clique member is never its own neighbour, so the common neighbourhood "
+     "already misses the clique"),
+    ("is_independent: skip the first vertex",
+     "edges are symmetric, so an edge at the first vertex shows in its other end's row"),
+]
+
+
+def run_tests(copy: Path) -> tuple[int, float]:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    start = time.perf_counter()
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="cliquefan-mutants-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        code, secs = run_tests(copy)
+        if code != 0:
+            print(f"unmutated copy fails its tests (pytest exit {code})")
+            return 1
+        print(f"unmutated    passes ({secs:.1f} s)")
+        for name, module, snippet, replacement in MUTANTS:
+            path = copy / "src" / "cliquefan" / module
+            source = path.read_text()
+            if source.count(snippet) != 1:
+                raise SystemExit(f"{name}: snippet {snippet!r} is not unique in {module}")
+            path.write_text(source.replace(snippet, replacement))
+            try:
+                code, secs = run_tests(copy)
+            finally:
+                path.write_text(source)
+            if code not in (0, 1):
+                raise SystemExit(f"{name}: pytest exit {code}, neither a pass nor a failure")
+            survived += code == 0
+            print(f"{'survived' if code == 0 else 'killed':<12} {name} ({secs:.1f} s)")
+    for name, reason in EQUIVALENT:
+        print(f"{'equivalent':<12} {name}: {reason}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killable mutants killed, "
+          f"{len(EQUIVALENT)} equivalent not run, {time.perf_counter() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,11 +7,10 @@ import pytest
 
 from cliquefan import finder, witness
 from cliquefan.finder import (
-    DegreeBoundReport,
     HypothesisViolation,
+    SearchInvariantError,
     check_violation,
     extend_clique,
-    fan_at_vertex_r1,
     find_odd_fan,
     peel_dense_subgraph,
     replay_certificate,
@@ -143,6 +142,31 @@ class TestCheckViolation:
         assert not check_violation(g, replace(res, vertices=(0,)))
         assert not check_violation(g, replace(res, vertices=(3, 5)))
 
+    def test_edge_deficiency_threshold_bounds_the_edge_count(self):
+        g = star(99)
+        at = HypothesisViolation("edge-deficiency", (), 99, 99.0)
+        assert check_violation(g, at)
+        assert not check_violation(g, replace(at, threshold=98.0))
+
+    def test_independent_set_witness_holding_an_edge_rejected(self):
+        g = Graph(4, [(1, 2)])
+        assert check_violation(g, HypothesisViolation("large-independent-set", (0, 1), 2, 1.5))
+        assert not check_violation(g, HypothesisViolation("large-independent-set", (1, 2), 2, 1.5))
+
+    def test_extension_failure_needs_a_clique(self):
+        # Neither set has a common neighbour; only the first is a clique.
+        g, kind = Graph(3, []), "clique-extension-failure"
+        assert check_violation(g, HypothesisViolation(kind, (0,), 0, 1.0))
+        assert not check_violation(g, HypothesisViolation(kind, (0, 1), 0, 1.0))
+
+    def test_strict_kinds_reject_observed_equal_to_threshold(self):
+        g = star(5)
+        low = HypothesisViolation("low-degree-vertex", (1,), 1, 1.5)
+        large = HypothesisViolation("large-independent-set", (1, 2, 3), 3, 2.5)
+        for v in (low, large):
+            assert check_violation(g, v)
+            assert not check_violation(g, replace(v, threshold=v.observed))
+
 
 class TestExtendClique:
     def test_complete_graph(self):
@@ -195,6 +219,12 @@ class TestExtendClique:
             for step in (extend_clique, lambda *a, **kw: rotate_clique(*a[:4], 1.0, **kw)):
                 with pytest.raises(ValueError, match="restriction mask"):
                     step(g, (0, 1), 3, 0.3, within=within, degree_threshold=0.0)
+
+    def test_clique_leaving_the_pool_or_nonpositive_r_rejected(self):
+        with pytest.raises(ValueError, match=r"clique \(0, 1\) leaves the restriction"):
+            extend_clique(complete(6), (0, 1), 3, 0.3, within=0b111110)
+        with pytest.raises(ValueError, match="r must be positive"):
+            rotate_clique(complete(3), (0,), 0, 0.3, 0.01)
 
 
 class TestRotateClique:
@@ -323,28 +353,41 @@ def _greedy_clique(g, size, start=0):
 
 
 class TestFanAtVertexR1:
+    """find_odd_fan at r = 1: find_fan's triangle fan, or else the
+    leftovers of a maximum matching of the densest neighbourhood."""
+
     def test_wheel(self):
-        emb = fan_at_vertex_r1(wheel4(), 2)
+        emb, _ = find_odd_fan(wheel4(), 2, 1, 0.2)
         assert isinstance(emb, FanEmbedding)
         assert emb.center == 0
         assert verify_fan(wheel4(), emb, FanShape(2, 3)) is None
 
     def test_star_reports_leaf_independent_set(self):
-        rep = fan_at_vertex_r1(star(99), 1)
-        assert isinstance(rep, DegreeBoundReport)
-        assert rep.densest_vertex == 0
-        assert len(rep.independent_set) == 99
+        out, _ = find_odd_fan(star(99), 1, 1, 0.2)
+        leaves = tuple(range(1, 100))
+        assert out == HypothesisViolation("large-independent-set", leaves, 99, 0.2 * 100)
 
     def test_petersen_is_triangle_free(self):
         g = petersen()
-        assert fan_at_vertex_r1(g, 1) == DegreeBoundReport(0, (1, 4, 5))
+        out, _ = find_odd_fan(g, 1, 1, 0.2)
+        assert out == HypothesisViolation("large-independent-set", (1, 4, 5), 3, 0.2 * 10)
         assert all(is_independent(g, g.neighbors(x)) for x in range(g.n))
 
     def test_uncovered_edge_in_the_report_raises(self, monkeypatch):
         # A matching that is not maximal leaves an edge of N(x) uncovered.
         monkeypatch.setattr(finder, "max_matching", lambda g, within: ())
-        with pytest.raises(finder.SearchInvariantError, match="uncovered"):
-            fan_at_vertex_r1(wheel4(), 3)
+        hub = Graph(6, list(cycle(5).edges()) + [(v, 5) for v in range(5)])
+        with pytest.raises(SearchInvariantError, match=r"N\(5\) leaves an edge uncovered"):
+            find_odd_fan(hub, 3, 1, 0.1)
+
+    def test_edge_deficiency_matches_no_neighbourhood(self, monkeypatch):
+        def unused(g, within):
+            raise AssertionError("the edge-deficiency outcome needs no matching")
+
+        monkeypatch.setattr(finder, "max_matching", unused)
+        for g, k in ((wheel4(), 3), (complete(5), 3), (cycle(30), 1), (Graph(0, []), 1)):
+            out, _ = find_odd_fan(g, k, 1, 0.2)
+            assert out.kind == "edge-deficiency" and check_violation(g, out)
 
     @staticmethod
     def pass_hosts():
@@ -364,8 +407,9 @@ class TestFanAtVertexR1:
         return hosts + [(gnp_random(400, 0.01, 93_001), (1, 2))]
 
     def test_screen_matches_the_matching_scan(self):
-        # Reference: a maximum matching of every neighbourhood, in order.
-        def reference(g, k):
+        # Reference: a maximum matching of every neighbourhood, in order,
+        # then of the densest one if its leftovers can beat eps n.
+        def reference(g, k, eps):
             spent = 0  # neighbours walked by the rejected centres of degree >= 2k
             for x in range(g.n):
                 sub, mapping = induced_subgraph(g, g.neighbors(x))
@@ -391,13 +435,17 @@ class TestFanAtVertexR1:
                     blades = sorted(tuple(sorted((back[a], back[b]))) for a, b in mm)
                     return FanEmbedding(x, tuple(blades[:k]))
                 spent += d if d >= 2 * k else 0
-            if g.n == 0:
-                return DegreeBoundReport(None, ())
-            x = min(range(g.n), key=lambda v: (-g.degree(v), v))
+            bound = eps * g.n + 2 * (k - 1)
+            x = min(range(g.n), key=lambda v: (-g.degree(v), v), default=None)
+            if x is None or g.degree(x) <= bound:
+                outcomes.add("edge-deficiency")
+                return HypothesisViolation("edge-deficiency", (), g.size, bound * g.n / 2.0)
             sub, mapping = induced_subgraph(g, g.neighbors(x))
             back = {i: v for v, i in mapping.items()}
             matched = {back[i] for e in max_matching(sub) for i in e}
-            return DegreeBoundReport(x, tuple(sorted(set(mapping) - matched)))
+            left = tuple(sorted(set(mapping) - matched))
+            outcomes.add("large-independent-set")
+            return HypothesisViolation("large-independent-set", left, len(left), eps * g.n)
 
         hosts = [gnp_random(4 + s % 20, (0.2, 0.4, 0.6, 0.8)[s % 4], 91_000 + s) for s in range(60)]
         for a in (4, 6, 9):
@@ -406,12 +454,14 @@ class TestFanAtVertexR1:
                 hosts.append(Graph(2 * a, bipartite + [(2 * i, 2 * i + 1) for i in range(m)]))
         cases = [(g, range(1, max(map(g.degree, range(g.n)), default=0) // 2 + 2)) for g in hosts]
         hit: set[str] = set()
+        outcomes: set[str] = set()
         for g, ks in cases + self.pass_hosts():
             for k in ks:
-                want = reference(g, k)
-                assert fan_at_vertex_r1(g, k) == want
+                want = reference(g, k, 0.01)
+                assert find_odd_fan(g, k, 1, 0.01)[0] == want
                 assert find_fan(g, FanShape(k, 3)) == (want if isinstance(want, FanEmbedding) else None)
         assert hit == {"d < 2k", "t < 2k", "2g < k", "full, nu < k", "full, nu >= k"}
+        assert outcomes == {"edge-deficiency", "large-independent-set"}
 
     def test_count_pass_runs_only_past_a_rejected_centre(self, monkeypatch):
         counted = witness.triangle_counts
@@ -429,12 +479,12 @@ class TestFanAtVertexR1:
         for g, ks in self.pass_hosts():
             k = ks[-1]  # the first centre fails
             passes.clear()
-            fan_at_vertex_r1(g, k)
+            find_fan(g, FanShape(k, 3))
             assert len(passes) == 1 and passes[0] > 0
         # The first centre succeeds; no centre has degree 2k.
         for g, k in ((wheel4(), 2), (complete(8), 3), (turan_graph(80, 2), 21), (petersen(), 2)):
             passes.clear()
-            fan_at_vertex_r1(g, k)
+            find_fan(g, FanShape(k, 3))
             assert passes == []
 
     def test_degree_bound_from_report(self):
@@ -442,36 +492,33 @@ class TestFanAtVertexR1:
         for seed in range(60):
             g = gnp_random(24, 0.12, 61_000 + seed)
             k = 1 + seed % 3
-            res = fan_at_vertex_r1(g, k)
-            if isinstance(res, FanEmbedding):
+            if find_fan(g, FanShape(k, 3)) is not None:
                 continue
             for x in range(g.n):
                 sub, _ = induced_subgraph(g, g.neighbors(x))
                 alpha = len(max_independent_set(sub))
                 assert g.degree(x) <= alpha + 2 * (k - 1)
 
+    @staticmethod
+    def agrees_with_find_fan(g, k):
+        a, _ = find_odd_fan(g, k, 1, 0.2)
+        b = find_fan(g, FanShape(k, 3))
+        if isinstance(a, FanEmbedding):
+            assert a == b
+        else:
+            assert b is None and check_violation(g, a)
+
     def test_agrees_with_find_fan_exhaustively(self):
         for n in range(5):
             for code in range(1 << pair_count(n)):
-                g = graph_from_code(n, code)
                 for k in (1, 2):
-                    a = fan_at_vertex_r1(g, k)
-                    b = find_fan(g, FanShape(k, 3))
-                    if isinstance(a, FanEmbedding):
-                        assert a == b
-                    else:
-                        assert b is None
+                    self.agrees_with_find_fan(graph_from_code(n, code), k)
 
     def test_agrees_with_find_fan_on_samples(self):
         for seed in range(150):
             g = gnp_random(6 + seed % 4, (0.25, 0.5, 0.75)[seed % 3], 71_000 + seed)
             for k in (1, 2, 3):
-                a = fan_at_vertex_r1(g, k)
-                b = find_fan(g, FanShape(k, 3))
-                if isinstance(a, FanEmbedding):
-                    assert a == b
-                else:
-                    assert b is None
+                self.agrees_with_find_fan(g, k)
 
 
 class TestThresholds:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cliquefan.generators import gnp_random, rt_lower_construction, triangle_free_process
-from cliquefan.finder import DegreeBoundReport, fan_at_vertex_r1
+from cliquefan.finder import HypothesisViolation, find_odd_fan
 from cliquefan.graphs import Graph, bits, is_independent, mask_from
 from cliquefan.invariants import (
     BudgetExceeded,
@@ -455,29 +455,36 @@ class TestMatchingIndependenceInequality:
 
 
 class TestGreedyIndependentFromMatching:
-    """The vertices a maximum matching of N(x) leaves, as fan_at_vertex_r1
-    reports them for the densest x: independent, and deg - 2 nu of them."""
+    """The vertices a maximum matching of N(x) leaves, as find_odd_fan at
+    r = 1 reports them for the densest x: independent, and deg - 2 nu of
+    them."""
 
     def test_odd_cycle_leftover(self):
         g = Graph(6, list(cycle(5).edges()) + [(v, 5) for v in range(5)])  # hub 5 over C5
-        assert fan_at_vertex_r1(g, 3) == DegreeBoundReport(5, (4,))
+        out, _ = find_odd_fan(g, 3, 1, 0.1)
+        assert out == HypothesisViolation("large-independent-set", (4,), 1, 0.1 * 6)
 
     def test_perfect_matching_leaves_nothing(self):
-        assert fan_at_vertex_r1(complete(5), 3) == DegreeBoundReport(0, ())
+        # Nothing left cannot beat eps n, so the outcome is an edge deficiency.
+        g = complete(5)
+        assert {v for e in max_matching(g, g.neighbor_mask(0)) for v in e} == {1, 2, 3, 4}
+        out, _ = find_odd_fan(g, 3, 1, 0.1)
+        assert out.kind == "edge-deficiency"
 
     def test_star_leaves_other_leaves(self):
         g = Graph(6, list(star(5).edges()) + [(1, 2)])
-        assert fan_at_vertex_r1(g, 2) == DegreeBoundReport(0, (3, 4, 5))
+        out, _ = find_odd_fan(g, 2, 1, 0.2)
+        assert out == HypothesisViolation("large-independent-set", (3, 4, 5), 3, 0.2 * 6)
 
     def test_size_bound(self):
         seen = 0
-        for seed in range(200):
+        for seed in range(400):
             g = gnp_random(8 + seed % 12, (0.2, 0.4, 0.6)[seed % 3], 41_000 + seed)
-            rep = fan_at_vertex_r1(g, 1 + seed % 4)
-            if not isinstance(rep, DegreeBoundReport):
+            out, _ = find_odd_fan(g, 1 + seed % 4, 1, 0.01)
+            if getattr(out, "kind", None) != "large-independent-set":
                 continue
             seen += 1
-            x, left = rep.densest_vertex, rep.independent_set
+            x, left = min(range(g.n), key=lambda v: (-g.degree(v), v)), out.vertices
             assert is_independent(g, left), f"seed={seed}"
             assert set(left) <= set(g.neighbors(x))
             nu = len(max_matching(induced_subgraph(g, g.neighbors(x))[0]))

@@ -155,6 +155,10 @@ class TestVerifyFan:
         g = wheel4()
         emb = FanEmbedding(0, ((1, 2),))
         assert "blade count" in verify_fan(g, emb, FanShape(2, 3))
+        # Exactly k blades: k + 1 valid ones are rejected too.
+        emb = FanEmbedding(0, ((1, 2), (3, 4), (5, 6)))
+        assert verify_fan(complete(7), emb, FanShape(3, 3)) is None
+        assert "blade count" in verify_fan(complete(7), emb, FanShape(2, 3))
 
 
 class TestVerifyGeneralizedFan:
