@@ -4,15 +4,18 @@ This module is the independent baseline for every search path in the
 package, so it deliberately shares no algorithm with them. On one graph,
 containment is checked by raw injection backtracking; extremal values
 come from one array scan of edge codes against every placement of the
-pattern and of K_{cap+1}. Witness ties always resolve to the smallest
+pattern and of K_{cap+1}. Isomorphism classes come from attaching a
+vertex of least degree to each smaller class and keeping the minimum
+code over all relabelings. Witness ties always resolve to the smallest
 edge code.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -107,26 +110,43 @@ def _relabelings(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
 def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
     """Canonical codes of all isomorphism classes on ``n`` vertices.
 
-    Built by vertex augmentation: every class on n vertices arises from
-    some class on n-1 vertices by attaching one vertex. Each smaller
-    representative is re-encoded on n vertices and relabeled once; its
-    2^(n-1) neighbourhoods of the new vertex are then walked in Gray-code
-    order, so each step XORs one pair-image column into all n! codes
-    before taking their minimum.
+    Built by vertex augmentation: deleting a vertex v of least degree
+    from a graph on n vertices leaves some class H on n-1 vertices, and
+    S = N(v) then has |S| <= deg_H(u) + [u in S] for every old vertex u.
+    Such sets are closed under taking subsets, so a depth-first walk that
+    adds members in ascending order reaches each of them once. H is
+    relabeled once under all n! permutations; each step of the walk XORs
+    one pair-image column into its parent's codes, one row per depth,
+    and takes their minimum.
     """
-    if n > 8:
-        raise ValueError("class enumeration is only supported up to 8 vertices")
+    if not 0 <= n <= 8:
+        raise ValueError("class enumeration needs an order from 0 to 8")
     if n <= 1:
         return (0,)
     smaller = _pairs(n - 1)
-    attach = [_pair_images(n)[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
+    images = _pair_images(n)
+    attach = [images[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
+    level = np.empty((n, len(images)), dtype=np.uint64)
     seen: set[int] = set()
     for code in nonisomorphic_graph_codes(n - 1):
-        codes = _relabelings(n, [smaller[i] for i in bits(code)])
-        seen.add(int(codes.min()))
-        for step in range(1, 1 << (n - 1)):
-            codes ^= attach[(step & -step).bit_length() - 1]
-            seen.add(int(codes.min()))
+        edges = [smaller[i] for i in bits(code)]
+        deg = Counter(chain.from_iterable(edges))
+        # below[t]: the old vertices of degree < t.
+        below = [sum(1 << u for u in range(n - 1) if deg[u] < t) for t in range(n)]
+        level[0] = _relabelings(n, edges)
+        seen.add(int(level[0].min()))
+        # A popped set's parent row is intact: only its siblings and their
+        # descendants ran since it was pushed, and they write deeper rows.
+        stack = [1 << j for j in range(n - 1)]
+        while stack:
+            s = stack.pop()
+            t = s.bit_count()
+            if below[t] & ~s or below[t - 1] & s:
+                continue
+            j = s.bit_length() - 1
+            np.bitwise_xor(level[t - 1], attach[j], out=level[t])
+            seen.add(int(level[t].min()))
+            stack += [s | 1 << i for i in range(j + 1, n - 1)]
     return tuple(sorted(seen))
 
 

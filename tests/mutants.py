@@ -1,11 +1,14 @@
-"""Hand mutants of the checkers that share no code with the search.
+"""Hand mutants of the checkers that share no code with the search, and
+of the oracle's class enumeration.
 
 Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
-of the package and its tests, then runs the checker tests there
-(``test_finder.py``, ``test_witness.py`` and ``test_graphs.py``, stopping
-at the first failure). A mutant is killed when some test fails and
-survives when all pass. The two equivalent mutants cannot change any
-result; they are listed with their reason and not run.
+of the package and its tests, then runs the test files it names there,
+stopping at the first failure: the checker tests (``test_finder.py``,
+``test_witness.py`` and ``test_graphs.py``) for the checkers and
+``test_oracle.py`` for the oracle. The unmutated copy runs every named
+file. A mutant is killed when some test fails and survives when all
+pass. The two equivalent mutants cannot change any result; they are
+listed with their reason and not run.
 
 Run from anywhere with ``python3 tests/mutants.py``. It uses only the
 standard library, runs one pytest process at a time, and exits 1 if a
@@ -21,37 +24,46 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_finder.py", "tests/test_witness.py", "tests/test_graphs.py"]
+CHECKER_TESTS = ("tests/test_finder.py", "tests/test_witness.py", "tests/test_graphs.py")
+ORACLE_TESTS = ("tests/test_oracle.py",)
 
-# (name, module, snippet, replacement); each snippet occurs once in its module.
+# (name, module, snippet, replacement, test files); each snippet occurs
+# once in its module.
 MUTANTS = [
     ("large-independent-set: drop is_independent(g, vs)", "finder.py",
-     "is_independent(g, vs)\n", "True\n"),
+     "is_independent(g, vs)\n", "True\n", CHECKER_TESTS),
     ("clique-extension-failure: drop the is_clique(g, vs) test", "finder.py",
-     "if not is_clique(g, vs):", "if False:"),
+     "if not is_clique(g, vs):", "if False:", CHECKER_TESTS),
     ("edge-deficiency: drop <= violation.threshold", "finder.py",
-     "violation.observed == g.size <= violation.threshold", "violation.observed == g.size"),
+     "violation.observed == g.size <= violation.threshold", "violation.observed == g.size",
+     CHECKER_TESTS),
     ("large-independent-set: > to >=", "finder.py",
-     "violation.observed > violation.threshold", "violation.observed >= violation.threshold"),
+     "violation.observed > violation.threshold", "violation.observed >= violation.threshold",
+     CHECKER_TESTS),
     ("low-degree-vertex: < to <=", "finder.py",
-     "dv < violation.threshold", "dv <= violation.threshold"),
+     "dv < violation.threshold", "dv <= violation.threshold", CHECKER_TESTS),
     ("verify_fan: len(e.blades) != shape.k to <", "witness.py",
-     "len(e.blades) != shape.k", "len(e.blades) < shape.k"),
+     "len(e.blades) != shape.k", "len(e.blades) < shape.k", CHECKER_TESTS),
     ("clique-extension-failure: drop observed == 0 < threshold", "finder.py",
-     "common == 0 and violation.observed == 0 < violation.threshold", "common == 0"),
+     "common == 0 and violation.observed == 0 < violation.threshold", "common == 0", CHECKER_TESTS),
     ("verify_fan: drop the duplicate-vertex test", "witness.py",
-     "if v in seen:", "if False:"),
+     "if v in seen:", "if False:", CHECKER_TESTS),
     ("verify_generalized_fan: drop the base-clique test", "witness.py",
-     "if not is_clique(g, e.base):", "if False:"),
+     "if not is_clique(g, e.base):", "if False:", CHECKER_TESTS),
     ("verify_generalized_fan: drop the duplicate-base test", "witness.py",
-     "if len(set(e.base)) != len(e.base):", "if False:"),
+     "if len(set(e.base)) != len(e.base):", "if False:", CHECKER_TESTS),
     ("_blade_problem: edge loop starts one vertex late", "witness.py",
-     "for v in group[i + 1:]:", "for v in group[i + 2:]:"),
+     "for v in group[i + 1:]:", "for v in group[i + 2:]:", CHECKER_TESTS),
     ("verify_certificate: no replay", "finder.py",
-     "if not replay_certificate(g, cert):", "if False:"),
+     "if not replay_certificate(g, cert):", "if False:", CHECKER_TESTS),
+    ("nonisomorphic_graph_codes: drop the [u in S] degree allowance", "oracle.py",
+     "below[t - 1] & s", "below[t] & s", ORACLE_TESTS),
+    ("nonisomorphic_graph_codes: deg < t to <=", "oracle.py",
+     "deg[u] < t", "deg[u] <= t", ORACLE_TESTS),
 ]
 
 EQUIVALENT = [
@@ -63,11 +75,11 @@ EQUIVALENT = [
 ]
 
 
-def run_tests(copy: Path) -> tuple[int, float]:
+def run_tests(copy: Path, tests: Sequence[str]) -> tuple[int, float]:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return done.returncode, time.perf_counter() - start
@@ -82,19 +94,19 @@ def main() -> int:
         shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy)
-        code, secs = run_tests(copy)
+        code, secs = run_tests(copy, sorted({t for *_, tests in MUTANTS for t in tests}))
         if code != 0:
             print(f"unmutated copy fails its tests (pytest exit {code})")
             return 1
         print(f"unmutated    passes ({secs:.1f} s)")
-        for name, module, snippet, replacement in MUTANTS:
+        for name, module, snippet, replacement, tests in MUTANTS:
             path = copy / "src" / "cliquefan" / module
             source = path.read_text()
             if source.count(snippet) != 1:
                 raise SystemExit(f"{name}: snippet {snippet!r} is not unique in {module}")
             path.write_text(source.replace(snippet, replacement))
             try:
-                code, secs = run_tests(copy)
+                code, secs = run_tests(copy, tests)
             finally:
                 path.write_text(source)
             if code not in (0, 1):

@@ -1,9 +1,12 @@
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from cliquefan.generators import FanShape, fan_graph, gnp_random, rt_lower_construction
 from cliquefan.oracle import (
+    _pairs,
+    _relabelings,
     edge_code,
     exact_ex,
     exact_rt,
@@ -13,7 +16,7 @@ from cliquefan.oracle import (
     pair_count,
 )
 from cliquefan.witness import find_fan
-from util import brute_alpha, complete, cycle, min_code, petersen
+from util import brute_alpha, complete, cycle, gray_class_codes, min_code, petersen
 
 TRIANGLE = FanShape(1, 3)
 
@@ -76,6 +79,21 @@ class TestCanonicalForm:
         assert list(codes) == sorted(codes)
         for code in codes:
             assert min_code(graph_from_code(4, code)) == code
+
+    def test_least_degree_walk_matches_full_augmentation(self):
+        for n in range(8):
+            assert nonisomorphic_graph_codes(n) == gray_class_codes(n), n
+
+    def test_eight_vertex_classes(self):
+        codes = nonisomorphic_graph_codes(8)
+        assert len(codes) == 12346  # OEIS A000088
+        assert list(codes) == sorted(codes)
+        known = set(codes)
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            density = rng.random()
+            edges = [p for p in _pairs(8) if rng.random() < density]
+            assert int(_relabelings(8, edges).min()) in known, edges
 
 
 class TestExactEx:
@@ -157,6 +175,9 @@ class TestExactRt:
             exact_rt(5, TRIANGLE, -1)
         with pytest.raises(ValueError, match="out of range"):
             graph_from_code(-1, 0)
+        for n in (-1, 9):
+            with pytest.raises(ValueError, match="order from 0 to 8"):
+                nonisomorphic_graph_codes(n)
 
 
 class TestReferenceTable:

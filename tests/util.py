@@ -7,7 +7,7 @@ import numpy as np
 
 from cliquefan.finder import HypothesisViolation
 from cliquefan.graphs import Graph, bits, vertex_mask
-from cliquefan.oracle import edge_code
+from cliquefan.oracle import _pair_images, _pair_index, _pairs, _relabelings, edge_code
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -56,6 +56,25 @@ def min_code(g: Graph) -> int:
         edge_code(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
         for perm in permutations(range(g.n))
     )
+
+
+def gray_class_codes(n: int) -> tuple[int, ...]:
+    """Class codes on ``n`` vertices by full vertex augmentation: every
+    class on n-1 vertices gets all 2^(n-1) neighbourhoods of a new vertex,
+    walked in Gray-code order, one XOR and one minimum over its n!
+    relabelings each."""
+    if n <= 1:
+        return (0,)
+    smaller = _pairs(n - 1)
+    attach = [_pair_images(n)[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
+    seen = set()
+    for code in gray_class_codes(n - 1):
+        codes = _relabelings(n, [smaller[i] for i in bits(code)])
+        seen.add(int(codes.min()))
+        for step in range(1, 1 << (n - 1)):
+            codes ^= attach[(step & -step).bit_length() - 1]
+            seen.add(int(codes.min()))
+    return tuple(sorted(seen))
 
 
 def brute_nu(g: Graph) -> int:
