@@ -82,32 +82,32 @@ def max_matching(g: Graph, within: int | None = None) -> tuple[tuple[int, int], 
 
 def _augment_from(adj: tuple[int, ...], mask: int, root: int, match: list[int]) -> bool:
     """Grow an alternating forest from ``root`` inside ``mask``; augment if
-    an exposed vertex is reached, contracting blossoms on the way."""
-    n = len(adj)
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    used[root] = True
+    an exposed vertex is reached, contracting blossoms on the way. Parents
+    and bases are keyed by the mask's vertices, not by all of the host's."""
+    vs = list(bits(mask))
+    p: dict[int, int] = {}
+    base = dict(zip(vs, vs))
+    used = {root}
     q = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
@@ -117,19 +117,19 @@ def _augment_from(adj: tuple[int, ...], mask: int, root: int, match: list[int]) 
         for to in bits(adj[v] & mask):
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
+            if to == root or match[to] in p:
                 # Odd cycle: contract the blossom down to its base.
                 curbase = lca(v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, curbase, to, blossom)
                 mark_path(to, curbase, v, blossom)
-                for i in bits(mask):
-                    if blossom[base[i]]:
+                for i in vs:
+                    if base[i] in blossom:
                         base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
+                        if i not in used:
+                            used.add(i)
                             q.append(i)
-            elif p[to] == -1:
+            elif to not in p:
                 p[to] = v
                 if match[to] == -1:
                     while to != -1:
@@ -139,7 +139,7 @@ def _augment_from(adj: tuple[int, ...], mask: int, root: int, match: list[int]) 
                         match[to] = prev
                         to = nxt
                     return True
-                used[match[to]] = True
+                used.add(match[to])
                 q.append(match[to])
     return False
 

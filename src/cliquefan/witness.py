@@ -8,6 +8,7 @@ is always the lexicographically smallest one the search visits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .generators import FanShape
 from .graphs import Graph, is_clique, mask_from
 from .invariants import greedy_matching, max_matching
 
-TRIANGLE_BLOCK_WORDS = 1 << 14  # row words per block of triangle_counts
+TRIANGLE_BLOCK_WORDS = 1 << 14  # edge ends per block of rows in triangle_counts
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,7 @@ class GeneralizedFanEmbedding:
 
 def _cliques_within(adj: tuple[int, ...], avail: int, size: int):
     """Yield all ``size``-cliques inside the ``avail`` mask as ascending
-    tuples, in lexicographic order."""
-    if size == 0:
-        yield ()
-        return
+    tuples, in lexicographic order; ``size`` is at least 1."""
     prefix: list[int] = []
 
     def rec(cand: int):
@@ -78,18 +76,34 @@ def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
 
 def triangle_counts(g: Graph, first: int, least: int):
     """Yield (x, t(x)) for each x >= ``first`` with d(x) >= ``least``, in
-    order; t(x) counts the non-isolated vertices of G[N(x)]. Each block of
-    about TRIANGLE_BLOCK_WORDS words ANDs the uint64 rows of its edge ends."""
-    w = (g.n + 63) // 64
-    rows = np.frombuffer(b"".join(m.to_bytes(8 * w, "little") for m in g._adj), "<u8").reshape(g.n, w)
-    deg = np.bitwise_count(rows).sum(axis=1)
-    centers = np.flatnonzero(deg[first:] >= least) + first
-    starts = np.cumsum(deg[centers] * w) - deg[centers] * w
-    for block in np.split(centers, np.flatnonzero(np.diff(starts // TRIANGLE_BLOCK_WORDS)) + 1):
-        i, j = np.nonzero(sub := rows[block])
-        f = np.flatnonzero(np.unpackbits(sub[i, j].view(np.uint8), bitorder="little"))
-        i, hit = i[f >> 6], (sub[i[f >> 6]] & rows[64 * j[f >> 6] + (f & 63)]).any(1)
-        yield from zip(block.tolist(), np.bincount(i[hit], minlength=len(block)).tolist())
+    order; t(x) counts the non-isolated vertices of G[N(x)]. Each edge uv,
+    u < v, with a center at an end is tested once, one word column at a time,
+    and a hit counts at both ends. Rows go in blocks of about
+    TRIANGLE_BLOCK_WORDS edge ends; a block's centers are final when it
+    ends, since their edges to earlier rows came in earlier blocks."""
+    n, w, ones = g.n, (g.n + 63) // 64, ~np.uint64(0)
+    rows = np.frombuffer(b"".join(m.to_bytes(8 * w, "little") for m in g._adj), "<u8").reshape(n, w)
+    cols, deg = np.ascontiguousarray(rows.T), np.bitwise_count(rows).sum(axis=1)
+    center = (deg >= least) & (np.arange(n) >= first)
+    if not center.any():
+        return
+    # Row u keeps its edges to later rows: all if u is a center, else those to centers.
+    keep = np.packbits(np.pad(center, (0, 64 * w - n)), bitorder="little").view("<u8")
+    stop = np.flatnonzero(center)[-1] + 1
+    cuts = np.flatnonzero(np.diff(np.cumsum(deg[:stop]) // TRIANGLE_BLOCK_WORDS)) + 1
+    t = np.zeros(n, np.int64)
+    for a, b in itertools.pairwise([0, *cuts.tolist(), stop]):
+        later = np.clip(np.arange(a + 1, b + 1)[:, None] - 64 * np.arange(w), 0, 64).astype(np.uint64)
+        sub = rows[a:b] & np.where(center[a:b, None], ones, keep) & (ones << later)
+        i, j = np.nonzero(sub)
+        f = np.flatnonzero(np.unpackbits(sub[i, j].view(np.uint8), bitorder="little").view(bool))
+        i, v = i[f >> 6], 64 * j[f >> 6] + (f & 63)
+        hit, runs = np.zeros(len(v), bool), np.bincount(i, minlength=b - a)
+        for c in cols:  # edge (a + i, v) tests one word of each end
+            hit |= (np.repeat(c[a:b], runs) & c.take(v)).astype(bool)
+        t += np.bincount(i[hit] + a, minlength=n) + np.bincount(v[hit], minlength=n)
+        xs = np.flatnonzero(center[a:b]) + a
+        yield from zip(xs.tolist(), t[xs].tolist())
 
 
 def find_fan(g: Graph, shape: FanShape) -> FanEmbedding | None:

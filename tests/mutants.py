@@ -1,13 +1,13 @@
-"""Hand mutants of the checkers that share no code with the search, and
-of the oracle's class enumeration.
+"""Hand mutants of the checkers that share no code with the search, of
+the oracle's class enumeration and of the r = 1 triangle-count kernel.
 
 Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
 of the package and its tests, then runs the test files it names there,
 stopping at the first failure: the checker tests (``test_finder.py``,
-``test_witness.py`` and ``test_graphs.py``) for the checkers and
-``test_oracle.py`` for the oracle. The unmutated copy runs every named
-file. A mutant is killed when some test fails and survives when all
-pass. The two equivalent mutants cannot change any result; they are
+``test_witness.py`` and ``test_graphs.py``) for the checkers,
+``test_oracle.py`` for the oracle and ``test_witness.py`` for the
+kernel. The unmutated copy runs every named file. A mutant is killed
+when some test fails and survives when all pass. The two equivalent mutants cannot change any result; they are
 listed with their reason and not run.
 
 Run from anywhere with ``python3 tests/mutants.py``. It uses only the
@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECKER_TESTS = ("tests/test_finder.py", "tests/test_witness.py", "tests/test_graphs.py")
 ORACLE_TESTS = ("tests/test_oracle.py",)
+KERNEL_TESTS = ("tests/test_witness.py",)
 
 # (name, module, snippet, replacement, test files); each snippet occurs
 # once in its module.
@@ -64,6 +65,13 @@ MUTANTS = [
      "below[t - 1] & s", "below[t] & s", ORACLE_TESTS),
     ("nonisomorphic_graph_codes: deg < t to <=", "oracle.py",
      "deg[u] < t", "deg[u] <= t", ORACLE_TESTS),
+    ("triangle_counts: credit only the row end of a hit edge", "witness.py",
+     "t += np.bincount(i[hit] + a, minlength=n) + np.bincount(v[hit], minlength=n)",
+     "t += np.bincount(i[hit] + a, minlength=n)", KERNEL_TESTS),
+    ("triangle_counts: skip the last word column", "witness.py",
+     "for c in cols:", "for c in cols[:-1]:", KERNEL_TESTS),
+    ("triangle_counts: keep both directions of each edge", "witness.py",
+     " & (ones << later)", "", KERNEL_TESTS),
 ]
 
 EQUIVALENT = [

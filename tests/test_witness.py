@@ -1,6 +1,10 @@
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquefan import witness
 from cliquefan.generators import FanShape, fan_graph, gnp_random, turan_graph
@@ -95,6 +99,16 @@ class TestFindFan:
             assert verify_fan(g, cut, FanShape(k, 3)) is None
 
 
+def per_edge_counts(g: Graph) -> list[int]:
+    # Each edge (v, u) whose ends share a neighbour x puts v, and u, among
+    # the non-isolated vertices of G[N(x)].
+    ends = [set() for _ in range(g.n)]
+    for v, u in g.edges():
+        for x in bits(g._adj[v] & g._adj[u]):
+            ends[x] |= {v, u}
+    return [len(e) for e in ends]
+
+
 class TestTriangleCounts:
     """t(x) counts the non-isolated vertices of G[N(x)]: both ends of each
     edge uv with a common neighbour x."""
@@ -105,17 +119,25 @@ class TestTriangleCounts:
         for n in (0, 1, 2, 63, 64, 65, 129, 200):
             for p in (0.03, 0.2, 0.6):
                 g = gnp_random(n, p, 71_000 + n)
-                # Each edge (v, u) whose ends share a neighbour x puts v, and
-                # u, among the non-isolated vertices of G[N(x)].
-                ends = [set() for _ in range(n)]
-                for v, u in g.edges():
-                    for x in bits(g._adj[v] & g._adj[u]):
-                        ends[x] |= {v, u}
-                want = [len(e) for e in ends]
+                want = per_edge_counts(g)
                 assert list(triangle_counts(g, 0, 0)) == list(enumerate(want)), (n, p)
                 for first, least in ((0, 5), (n // 2, 2), (n, 0)):
                     got = list(triangle_counts(g, first, least))
                     assert got == [(x, want[x]) for x in range(first, n) if g.degree(x) >= least]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_counts_match_a_per_edge_count_on_drawn_hosts(self, data):
+        n = data.draw(st.one_of(st.sampled_from((0, 1, 63, 64, 65, 128, 129, 200)), st.integers(0, 200)))
+        p = data.draw(st.sampled_from((0.0, 0.02, 0.08, 0.25, 0.5)))
+        g = gnp_random(n, p, data.draw(st.integers(0, 2**32 - 1)))
+        first = data.draw(st.integers(0, n))
+        least = data.draw(st.integers(0, max(map(g.degree, range(n)), default=0) + 1))
+        block = data.draw(st.sampled_from((1, witness.TRIANGLE_BLOCK_WORDS)))
+        want = per_edge_counts(g)
+        with mock.patch.object(witness, "TRIANGLE_BLOCK_WORDS", block):
+            got = list(triangle_counts(g, first, least))
+        assert got == [(x, want[x]) for x in range(first, n) if g.degree(x) >= least]
 
     def test_pass_memory_stays_blocked(self):
         # K_{500, 500}: every centre past the first few is settled by the
@@ -128,6 +150,27 @@ class TestTriangleCounts:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, peak
+
+    def test_pass_stops_after_the_block_of_a_live_centre(self, monkeypatch):
+        # K_{200, 200} on the even and odd ids, plus the odd edge (5, 7),
+        # without (0, 5) and (2, 5): centres 0-2 fail, which starts the
+        # pass at 3, and 4 is the first live centre. Its block is the first
+        # of about five, so the search returns with the rest unread: the
+        # pass unpacks the bits of one block per np.unpackbits call.
+        edges = [(u, v) for u in range(0, 400, 2) for v in range(1, 400, 2)]
+        g = Graph(400, [e for e in edges if e not in ((0, 5), (2, 5))] + [(5, 7)])
+        unpack, blocks = np.unpackbits, []
+
+        def counting(*args, **kwargs):
+            blocks.append(0)
+            return unpack(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unpackbits", counting)
+        list(triangle_counts(g, 3, 2))
+        every = len(blocks)
+        blocks.clear()
+        assert find_fan(g, FanShape(1, 3)) == FanEmbedding(4, ((5, 7),))
+        assert every >= 4 and blocks == [0]
 
 
 class TestVerifyFan:
