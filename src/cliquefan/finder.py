@@ -433,8 +433,8 @@ def _find_odd_fan_r1(g: Graph, k: int, eps: float, cert: SearchCertificate):
         cert.outcome = _embedding_dict(emb)
         return emb, cert
     n, adj, bound = g.n, g._adj, eps * g.n + 2 * (k - 1)
-    x = max(range(n), key=g.degree, default=None)
-    if x is None or g.degree(x) <= bound:
+    x = max(range(n), key=lambda v: adj[v].bit_count(), default=None)
+    if x is None or adj[x].bit_count() <= bound:
         viol = HypothesisViolation("edge-deficiency", (), g.size, bound * n / 2.0)
     else:
         left = adj[x] & ~mask_from(v for e in max_matching(g, adj[x]) for v in e)

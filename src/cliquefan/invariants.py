@@ -153,9 +153,12 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
     all parts sharing one expansion budget; a connected, co-connected graph
     keeps the unsplit witness. A node is cut when the first-fit clique cover
     of its candidates, built one greedy clique at a time, is no larger than
-    what it can still gain. Raises :class:`BudgetExceeded` when the budget
-    runs out and ``ValueError`` when it is negative; without an explicit
-    budget the order must not exceed :data:`EXACT_SOLVE_CEILING`.
+    what it can still gain. A join's later part only matters if it beats the
+    parts before it, so its search starts at their best as a floor with no
+    witness: the same witnesses, from fewer expansions. Raises
+    :class:`BudgetExceeded` when the budget runs out and ``ValueError``
+    when it is negative; without an explicit budget the order must not
+    exceed :data:`EXACT_SOLVE_CEILING`.
     """
     if budget is None:
         if g.n > EXACT_SOLVE_CEILING:
@@ -232,9 +235,10 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
 
     expansions = 0
 
-    def leaf(start: int) -> int:
+    def leaf(start: int, floor: int) -> int:
+        # Only a set above floor counts; if none is, the greedy set loses.
         best_mask = greedy(start)
-        best_size = best_mask.bit_count()
+        best_size = max(best_mask.bit_count(), floor)
 
         def rec(mask: int, size: int, chosen: int) -> None:
             nonlocal expansions, best_mask, best_size
@@ -262,11 +266,12 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
         return best_mask
 
     # Post-order walk of the split tree on explicit stacks, since a cograph
-    # (a threshold graph, say) nests as deep as its order.
-    todo: list = [full]
+    # (a threshold graph, say) nests as deep as its order. A join's part
+    # carries where in found its earlier siblings' results start.
+    todo: list = [(full, None)]
     found: list[int] = []
     while todo:
-        mask = todo.pop()
+        mask, base = todo.pop()
         if isinstance(mask, tuple):
             union, k, kept = mask
             parts, found[-k:] = found[-k:], []
@@ -281,8 +286,10 @@ def max_independent_set(g: Graph, budget: int | None = None) -> IndependentSet:
         if len(parts) == 1:
             union, parts = False, components(mask, -1)
         if len(parts) > 1:
-            todo.append((union, len(parts), kept))
-            todo.extend(reversed(parts))
+            todo.append(((union, len(parts), kept), None))
+            todo.extend((part, None if union else len(found)) for part in reversed(parts))
         else:
-            found.append(kept | leaf(mask))
+            # A join's later part counts only if it beats the earlier ones.
+            floor = 0 if base is None else max(map(int.bit_count, found[base:]), default=0)
+            found.append(kept | leaf(mask, floor - kept.bit_count()))
     return IndependentSet(tuple(bits(found[0])))

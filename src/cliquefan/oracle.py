@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain
+from math import factorial
 
 import numpy as np
 
@@ -90,20 +91,27 @@ def _pair_index(n: int, lo: int, hi: int) -> int:
 @lru_cache(maxsize=16)
 def _pair_images(n: int) -> np.ndarray:
     """Entry (p, i) is the code bit that pair i moves to under the p-th
-    permutation of ``range(n)``; uint8 indices keep the build small."""
-    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
-    bit = np.zeros((n, n), dtype=np.uint64)
+    permutation of ``range(n)`` in ``itertools.permutations`` order. Codes
+    fit in uint32 up to n = 8, its 28 pairs; larger n raises."""
+    if n > 8:
+        raise ValueError("pair images need an order of at most 8")
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):  # each first vertex, then the rest in order
+        first = np.repeat(np.arange(k, dtype=np.uint8), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack((first, rest + (rest >= first)))
+    bit = np.zeros((n, n), dtype=np.uint32)
     for i, (u, v) in enumerate(_pairs(n)):
         bit[u, v] = bit[v, u] = 1 << i
     lo, hi = np.array(_pairs(n), dtype=np.uint8).reshape(-1, 2).T
     return bit[perms[:, lo], perms[:, hi]]
 
 
-def _relabelings(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
-    """Edge code of the image of ``edges`` under each permutation of ``range(n)``."""
+def _relabelings(n: int, edges: Iterable[tuple[int, int]], step: int = 1) -> np.ndarray:
+    """Edge code of the image of ``edges`` under every ``step``-th permutation of ``range(n)``."""
     # Distinct pairs move to distinct bits, so XOR assembles each code.
     pair_ids = [_pair_index(n, u, v) for u, v in edges]
-    return np.bitwise_xor.reduce(_pair_images(n)[:, pair_ids], axis=1)
+    return np.bitwise_xor.reduce(_pair_images(n)[::step, pair_ids], axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -116,8 +124,8 @@ def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
     Such sets are closed under taking subsets, so a depth-first walk that
     adds members in ascending order reaches each of them once. H is
     relabeled once under all n! permutations; each step of the walk XORs
-    one pair-image column into its parent's codes, one row per depth,
-    and takes their minimum.
+    one contiguous pair-image column into its parent's codes, one uint32
+    row per depth, and takes their minimum.
     """
     if not 0 <= n <= 8:
         raise ValueError("class enumeration needs an order from 0 to 8")
@@ -125,8 +133,8 @@ def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
         return (0,)
     smaller = _pairs(n - 1)
     images = _pair_images(n)
-    attach = [images[:, _pair_index(n, j, n - 1)] for j in range(n - 1)]
-    level = np.empty((n, len(images)), dtype=np.uint64)
+    attach = list(images[:, [_pair_index(n, j, n - 1) for j in range(n - 1)]].T.copy())
+    level = list(np.empty((n, len(images)), dtype=np.uint32))
     seen: set[int] = set()
     for code in nonisomorphic_graph_codes(n - 1):
         edges = [smaller[i] for i in bits(code)]
@@ -134,28 +142,29 @@ def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
         # below[t]: the old vertices of degree < t.
         below = [sum(1 << u for u in range(n - 1) if deg[u] < t) for t in range(n)]
         level[0] = _relabelings(n, edges)
-        seen.add(int(level[0].min()))
+        seen.add(int(np.minimum.reduce(level[0])))
         # A popped set's parent row is intact: only its siblings and their
         # descendants ran since it was pushed, and they write deeper rows.
-        stack = [1 << j for j in range(n - 1)]
+        stack = [(1 << j, j) for j in range(n - 1)]
         while stack:
-            s = stack.pop()
+            s, j = stack.pop()
             t = s.bit_count()
             if below[t] & ~s or below[t - 1] & s:
                 continue
-            j = s.bit_length() - 1
             np.bitwise_xor(level[t - 1], attach[j], out=level[t])
-            seen.add(int(level[t].min()))
-            stack += [s | 1 << i for i in range(j + 1, n - 1)]
+            seen.add(int(np.minimum.reduce(level[t])))
+            stack += [(s | 1 << i, i) for i in range(j + 1, n - 1)]
     return tuple(sorted(seen))
 
 
 def _placements(n: int, order: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Distinct edge codes of the copies in ``range(n)`` of a graph on
-    ``range(order)``; every injection extends to a permutation."""
+    ``range(order)``. In lexicographic order a permutation's first
+    ``order`` images stay put for (n - order)! steps, so every such step
+    visits each injection of ``range(order)`` once."""
     if order > n:
         return []
-    return list(set(_relabelings(n, edges).tolist()))
+    return list(set(_relabelings(n, edges, factorial(n - order)).tolist()))
 
 
 def exact_rt(

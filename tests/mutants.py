@@ -1,14 +1,16 @@
 """Hand mutants of the checkers that share no code with the search, of
-the oracle's class enumeration and of the r = 1 triangle-count kernel.
+the oracle's class enumeration and placements, of the independence
+solver's join floor and of the r = 1 triangle-count kernel.
 
 Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
 of the package and its tests, then runs the test files it names there,
 stopping at the first failure: the checker tests (``test_finder.py``,
 ``test_witness.py`` and ``test_graphs.py``) for the checkers,
-``test_oracle.py`` for the oracle and ``test_witness.py`` for the
-kernel. The unmutated copy runs every named file. A mutant is killed
-when some test fails and survives when all pass. The two equivalent mutants cannot change any result; they are
-listed with their reason and not run.
+``test_oracle.py`` for the oracle, ``test_invariants.py`` for the
+solver and ``test_witness.py`` for the kernel. The unmutated copy runs
+every named file. A mutant is killed when some test fails and survives
+when all pass. The two equivalent mutants cannot change any result;
+they are listed with their reason and not run.
 
 Run from anywhere with ``python3 tests/mutants.py``. It uses only the
 standard library, runs one pytest process at a time, and exits 1 if a
@@ -31,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHECKER_TESTS = ("tests/test_finder.py", "tests/test_witness.py", "tests/test_graphs.py")
 ORACLE_TESTS = ("tests/test_oracle.py",)
 KERNEL_TESTS = ("tests/test_witness.py",)
+INVARIANT_TESTS = ("tests/test_invariants.py",)
 
 # (name, module, snippet, replacement, test files); each snippet occurs
 # once in its module.
@@ -61,6 +64,12 @@ MUTANTS = [
      "for v in group[i + 1:]:", "for v in group[i + 2:]:", CHECKER_TESTS),
     ("verify_certificate: no replay", "finder.py",
      "if not replay_certificate(g, cert):", "if False:", CHECKER_TESTS),
+    ("max_independent_set: floor from every result so far, not the join's own", "invariants.py",
+     "found[base:]", "found", INVARIANT_TESTS),
+    ("max_independent_set: floor one higher", "invariants.py",
+     "floor - kept.bit_count()", "floor - kept.bit_count() + 1", INVARIANT_TESTS),
+    ("_placements: stride (n - order + 1)!", "oracle.py",
+     "factorial(n - order)", "factorial(n - order + 1)", ORACLE_TESTS),
     ("nonisomorphic_graph_codes: drop the [u in S] degree allowance", "oracle.py",
      "below[t - 1] & s", "below[t] & s", ORACLE_TESTS),
     ("nonisomorphic_graph_codes: deg < t to <=", "oracle.py",

@@ -388,6 +388,91 @@ class TestComponentSplit:
         assert is_independent(g, ind.members)
 
 
+def ascending_greedy(g: Graph) -> int:
+    """Size of the maximal independent set taken by ascending id."""
+    mask, size = (1 << g.n) - 1, 0
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= ~(g._adj[v] | 1 << v)
+        size += 1
+    return size
+
+
+class TestJoinFloor:
+    """A join's later part is searched only above the best of the parts
+    before it; witnesses must be those of the search without that floor."""
+
+    def short_greedy_blocks(self) -> list[tuple[Graph, int]]:
+        # Connected, co-connected blocks whose ascending greedy set falls
+        # short of alpha, so a search from the greedy set differs from one
+        # started at a floor; each with its alpha.
+        blocks = []
+        for seed in range(120):
+            g = gnp_random(8 + seed % 13, (0.3, 0.5, 0.7)[seed % 3], 56_000 + seed)
+            if connected(g) and connected(complement(g)):
+                alpha = len(unsplit_search(g)[0])
+                if ascending_greedy(g) < alpha:
+                    blocks.append((g, alpha))
+        return blocks
+
+    def test_lower_construction_keeps_the_split_witness(self):
+        for n, r in ((30, 2), (45, 3), (48, 2), (60, 2), (60, 3), (80, 4), (90, 3)):
+            for s in (1, 2, 3):
+                g = rt_lower_construction(n, r, f"tf-process:{s}")
+                for host in (g, relabel(g, 100 * n + s)):
+                    want = tuple(bits(split_reference(host, (1 << n) - 1)))
+                    assert max_independent_set(host, budget=10**7).members == want, (n, r, s)
+
+    def test_ties_between_parts_go_to_the_earlier_one(self):
+        blocks = {}
+        for seed in range(150):
+            g = gnp_random(5 + seed % 12, (0.3, 0.5, 0.7)[seed % 3], 57_000 + seed)
+            blocks.setdefault(len(max_independent_set(g)), []).append(g)
+        checked = 0
+        for alpha, same in blocks.items():
+            for a, b, c in zip(same, same[1:], same[2:]):
+                for g in (join(a, b), join(join(a, b), c), join(c, disjoint_union(a, b))):
+                    g = relabel(g, checked)
+                    want = tuple(bits(split_reference(g, (1 << g.n) - 1)))
+                    assert max_independent_set(g).members == want, list(g.edges())
+                    checked += 1
+        assert checked >= 300
+
+    def test_later_part_one_above_the_earlier_wins(self):
+        # Off by one, the floor would hide the later part's alpha-sized set
+        # behind its shorter greedy set.
+        blocks = self.short_greedy_blocks()
+        first = {alpha: g for g, alpha in reversed(blocks)}
+        checked = 0
+        for b, alpha in blocks:
+            if alpha - 1 in first:
+                g = join(first[alpha - 1], b)
+                ind = max_independent_set(g)
+                assert len(ind) == alpha
+                assert ind.members == tuple(bits(split_reference(g, (1 << g.n) - 1)))
+                checked += 1
+        assert checked >= 20
+
+    def test_floor_counts_only_the_joins_own_parts(self):
+        # A component before the join, with a larger alpha, must not raise
+        # the floor of the join's parts.
+        for b, alpha in self.short_greedy_blocks():
+            g = disjoint_union(cycle(21), join(cycle(5), b))
+            assert len(max_independent_set(g)) == 10 + max(2, alpha)
+
+    def test_second_copy_of_a_join_is_cheaper_than_the_first(self):
+        # Without the floor the join costs exactly twice the block. The
+        # second copy starts at the first's alpha, above its own greedy set,
+        # and on these blocks that saves at least one expansion.
+        checked = 0
+        for g, _ in self.short_greedy_blocks():
+            want, count = unsplit_search(g)
+            got = max_independent_set(join(g, g), budget=2 * count - 1)
+            assert got.members == want
+            checked += 1
+        assert checked >= 20
+
+
 class TestLeafBound:
     def hosts(self):
         for seed in range(60):

@@ -1,11 +1,14 @@
 from importlib import resources
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from cliquefan.generators import FanShape, fan_graph, gnp_random, rt_lower_construction
 from cliquefan.oracle import (
+    _pair_images,
     _pairs,
+    _placements,
     _relabelings,
     edge_code,
     exact_ex,
@@ -94,6 +97,49 @@ class TestCanonicalForm:
             density = rng.random()
             edges = [p for p in _pairs(8) if rng.random() < density]
             assert int(_relabelings(8, edges).min()) in known, edges
+
+
+def reference_patterns():
+    """(n, order, edges) of every pattern an n <= 7 reference row places:
+    its fan and, under a cap below n, K_{cap+1}."""
+    text = resources.files("cliquefan").joinpath("data/reference_values.tsv").read_text()
+    for line in text.strip().splitlines()[1:]:
+        n, k, r, cap = line.split("\t")[:4]
+        n = int(n)
+        pattern, _ = fan_graph(FanShape(int(k), int(r)))
+        yield n, pattern.n, list(pattern.edges())
+        if cap != "-" and int(cap) < n:
+            yield n, int(cap) + 1, list(_pairs(int(cap) + 1))
+
+
+class TestPlacementTables:
+    def test_pair_images_follow_itertools_permutations(self):
+        # Row p maps pair (u, v) to the bit of (perm[u], perm[v]), with the
+        # permutations in itertools order; 28 pairs fit uint32 at n = 8.
+        for n in range(9):
+            perms = np.array(list(permutations(range(n))), dtype=np.int64)
+            lo, hi = np.array(_pairs(n), dtype=np.int64).reshape(-1, 2).T
+            a = np.minimum(perms[:, lo], perms[:, hi])
+            b = np.maximum(perms[:, lo], perms[:, hi])
+            want = np.left_shift(1, a * (2 * n - a - 1) // 2 + b - a - 1)
+            got = _pair_images(n)
+            assert got.dtype == np.uint32 and got.shape == want.shape, n
+            assert np.array_equal(got, want), n
+        with pytest.raises(ValueError, match="at most 8"):
+            _pair_images(9)
+
+    def test_placements_are_the_codes_of_every_permutation(self):
+        checked = 0
+        for n, order, edges in reference_patterns():
+            if order > n:
+                assert _placements(n, order, edges) == []
+                continue
+            want = {sum(1 << _pairs(n).index(tuple(sorted((p[u], p[v])))) for u, v in edges)
+                    for p in permutations(range(n))}
+            got = _placements(n, order, edges)
+            assert sorted(got) == sorted(want), (n, order, edges)
+            checked += 1
+        assert checked >= 15
 
 
 class TestExactEx:
