@@ -4,18 +4,17 @@ This module is the independent baseline for every search path in the
 package, so it deliberately shares no algorithm with them. On one graph,
 containment is checked by raw injection backtracking; extremal values
 come from one array scan of edge codes against every placement of the
-pattern and of K_{cap+1}. Isomorphism classes come from attaching a
-vertex of least degree to each smaller class and keeping the minimum
-code over all relabelings. Witness ties always resolve to the smallest
-edge code.
+pattern and of K_{cap+1}. Isomorphism classes are read from a shipped
+table of minimum codes, ``data/class_codes.u32``, which
+``tests/class_table.py`` writes and checks by full vertex augmentation.
+Witness ties always resolve to the smallest edge code.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import chain
+from importlib import resources
 from math import factorial
 
 import numpy as np
@@ -24,6 +23,9 @@ from .generators import FanShape, fan_graph
 from .graphs import Graph, bits
 
 ENUMERATION_CEILING = 7
+# Classes on n = 0..8 vertices (OEIS A000088), the section sizes of CLASS_TABLE.
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+CLASS_TABLE = resources.files(__package__).joinpath("data/class_codes.u32")
 
 
 def pair_count(n: int) -> int:
@@ -116,45 +118,20 @@ def _relabelings(n: int, edges: Iterable[tuple[int, int]], step: int = 1) -> np.
 
 @lru_cache(maxsize=16)
 def nonisomorphic_graph_codes(n: int) -> tuple[int, ...]:
-    """Canonical codes of all isomorphism classes on ``n`` vertices.
+    """Canonical codes of all isomorphism classes on ``n`` vertices, each
+    the minimum edge code over its relabelings, in ascending order.
 
-    Built by vertex augmentation: deleting a vertex v of least degree
-    from a graph on n vertices leaves some class H on n-1 vertices, and
-    S = N(v) then has |S| <= deg_H(u) + [u in S] for every old vertex u.
-    Such sets are closed under taking subsets, so a depth-first walk that
-    adds members in ascending order reaches each of them once. H is
-    relabeled once under all n! permutations; each step of the walk XORs
-    one contiguous pair-image column into its parent's codes, one uint32
-    row per depth, and takes their minimum.
+    Read from :data:`CLASS_TABLE`: the sections for n = 0..8 in turn, of
+    :data:`CLASS_COUNTS` little-endian uint32 codes each. A table of any
+    other length raises, so a short one never yields a short list.
     """
     if not 0 <= n <= 8:
         raise ValueError("class enumeration needs an order from 0 to 8")
-    if n <= 1:
-        return (0,)
-    smaller = _pairs(n - 1)
-    images = _pair_images(n)
-    attach = list(images[:, [_pair_index(n, j, n - 1) for j in range(n - 1)]].T.copy())
-    level = list(np.empty((n, len(images)), dtype=np.uint32))
-    seen: set[int] = set()
-    for code in nonisomorphic_graph_codes(n - 1):
-        edges = [smaller[i] for i in bits(code)]
-        deg = Counter(chain.from_iterable(edges))
-        # below[t]: the old vertices of degree < t.
-        below = [sum(1 << u for u in range(n - 1) if deg[u] < t) for t in range(n)]
-        level[0] = _relabelings(n, edges)
-        seen.add(int(np.minimum.reduce(level[0])))
-        # A popped set's parent row is intact: only its siblings and their
-        # descendants ran since it was pushed, and they write deeper rows.
-        stack = [(1 << j, j) for j in range(n - 1)]
-        while stack:
-            s, j = stack.pop()
-            t = s.bit_count()
-            if below[t] & ~s or below[t - 1] & s:
-                continue
-            np.bitwise_xor(level[t - 1], attach[j], out=level[t])
-            seen.add(int(np.minimum.reduce(level[t])))
-            stack += [(s | 1 << i, i) for i in range(j + 1, n - 1)]
-    return tuple(sorted(seen))
+    table = CLASS_TABLE.read_bytes()
+    if len(table) != 4 * sum(CLASS_COUNTS):
+        raise ValueError(f"class table holds {len(table)} bytes, not {4 * sum(CLASS_COUNTS)}")
+    start = sum(CLASS_COUNTS[:n])
+    return tuple(np.frombuffer(table, "<u4", CLASS_COUNTS[n], 4 * start).tolist())
 
 
 def _placements(n: int, order: int, edges: Iterable[tuple[int, int]]) -> list[int]:

@@ -1,5 +1,5 @@
 """Hand mutants of the checkers that share no code with the search, of
-the oracle's class enumeration and placements, of the independence
+the oracle's class-table loader and placements, of the independence
 solver's join floor and of the r = 1 triangle-count kernel.
 
 Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
@@ -70,10 +70,10 @@ MUTANTS = [
      "floor - kept.bit_count()", "floor - kept.bit_count() + 1", INVARIANT_TESTS),
     ("_placements: stride (n - order + 1)!", "oracle.py",
      "factorial(n - order)", "factorial(n - order + 1)", ORACLE_TESTS),
-    ("nonisomorphic_graph_codes: drop the [u in S] degree allowance", "oracle.py",
-     "below[t - 1] & s", "below[t] & s", ORACLE_TESTS),
-    ("nonisomorphic_graph_codes: deg < t to <=", "oracle.py",
-     "deg[u] < t", "deg[u] <= t", ORACLE_TESTS),
+    ("nonisomorphic_graph_codes: each section starts one code late", "oracle.py",
+     "start = sum(CLASS_COUNTS[:n])", "start = sum(CLASS_COUNTS[:n]) + 1", ORACLE_TESTS),
+    ("nonisomorphic_graph_codes: last section one code short", "oracle.py",
+     "CLASS_COUNTS[n], 4 * start", "CLASS_COUNTS[n] - n // 8, 4 * start", ORACLE_TESTS),
     ("triangle_counts: credit only the row end of a hit edge", "witness.py",
      "t += np.bincount(i[hit] + a, minlength=n) + np.bincount(v[hit], minlength=n)",
      "t += np.bincount(i[hit] + a, minlength=n)", KERNEL_TESTS),

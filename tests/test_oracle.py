@@ -1,11 +1,14 @@
 from importlib import resources
 from itertools import permutations
 
+import class_table
 import numpy as np
 import pytest
 
+from cliquefan import oracle
 from cliquefan.generators import FanShape, fan_graph, gnp_random, rt_lower_construction
 from cliquefan.oracle import (
+    CLASS_TABLE,
     _pair_images,
     _pairs,
     _placements,
@@ -74,8 +77,10 @@ class TestCanonicalForm:
 
     def test_class_counts(self):
         # Known numbers of unlabeled simple graphs (OEIS A000088).
-        for n, want in ((2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)):
-            assert len(nonisomorphic_graph_codes(n)) == want
+        for n, want in enumerate((1, 1, 2, 4, 11, 34, 156, 1044, 12346)):
+            codes = nonisomorphic_graph_codes(n)
+            assert len(codes) == want, n
+            assert list(codes) == sorted(set(codes)), n
 
     def test_codes_are_canonical_and_sorted(self):
         codes = nonisomorphic_graph_codes(4)
@@ -83,20 +88,58 @@ class TestCanonicalForm:
         for code in codes:
             assert min_code(graph_from_code(4, code)) == code
 
-    def test_least_degree_walk_matches_full_augmentation(self):
+    def test_codes_are_their_class_minima(self):
         for n in range(8):
+            for code in nonisomorphic_graph_codes(n):
+                edges = [_pairs(n)[i] for i in range(pair_count(n)) if code >> i & 1]
+                assert int(_relabelings(n, edges).min()) == code, (n, code)
+
+    def test_table_matches_full_augmentation(self):
+        # The shipped table is what `python3 tests/class_table.py` writes.
+        assert class_table.main(["--check"]) == 0
+        for n in range(9):
             assert nonisomorphic_graph_codes(n) == gray_class_codes(n), n
 
     def test_eight_vertex_classes(self):
-        codes = nonisomorphic_graph_codes(8)
-        assert len(codes) == 12346  # OEIS A000088
-        assert list(codes) == sorted(codes)
-        known = set(codes)
+        known = set(nonisomorphic_graph_codes(8))
         rng = np.random.default_rng(8)
         for _ in range(300):
             density = rng.random()
             edges = [p for p in _pairs(8) if rng.random() < density]
             assert int(_relabelings(8, edges).min()) in known, edges
+
+
+class TestClassTable:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        nonisomorphic_graph_codes.cache_clear()
+        yield
+        nonisomorphic_graph_codes.cache_clear()
+
+    def test_read_without_enumeration(self, monkeypatch):
+        want = gray_class_codes(8)
+
+        def refuse(*args):
+            raise AssertionError(f"relabelling called with {args}")
+
+        monkeypatch.setattr(oracle, "_pair_images", refuse)
+        monkeypatch.setattr(oracle, "_relabelings", refuse)
+        assert nonisomorphic_graph_codes(8) == want
+
+    @pytest.mark.parametrize("cut", [slice(-1), slice(-4), slice(-4 * 12346), slice(0)],
+                             ids=["byte", "code", "section", "all"])
+    def test_short_table_raises(self, monkeypatch, tmp_path, cut):
+        short = tmp_path / "class_codes.u32"
+        short.write_bytes(CLASS_TABLE.read_bytes()[cut])
+        monkeypatch.setattr(oracle, "CLASS_TABLE", short)
+        for n in (0, 7, 8):
+            with pytest.raises(ValueError, match="class table holds"):
+                nonisomorphic_graph_codes(n)
+
+    def test_missing_table_raises(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(oracle, "CLASS_TABLE", tmp_path / "class_codes.u32")
+        with pytest.raises(FileNotFoundError):
+            nonisomorphic_graph_codes(8)
 
 
 def reference_patterns():

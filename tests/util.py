@@ -1,6 +1,7 @@
 """Small graph builders and brute-force references shared across the test modules."""
 
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -58,11 +59,12 @@ def min_code(g: Graph) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def gray_class_codes(n: int) -> tuple[int, ...]:
     """Class codes on ``n`` vertices by full vertex augmentation: every
     class on n-1 vertices gets all 2^(n-1) neighbourhoods of a new vertex,
     walked in Gray-code order, one XOR and one minimum over its n!
-    relabelings each."""
+    relabelings each. Cached: n = 8 takes about 2 s."""
     if n <= 1:
         return (0,)
     smaller = _pairs(n - 1)
