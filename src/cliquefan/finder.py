@@ -95,12 +95,14 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     (fewer than beta n^2 (1 + eps) edges) and that deficit is returned
     as the violation witness.
 
-    Degrees sit in a numpy vector: each step removes the first violator
-    and subtracts its unpacked row. A removed vertex's entry becomes 3n,
-    above 2n after its at most n - 1 later decrements, so out of reach of
-    the threshold (below 1.5 n). The threshold only falls, so a vertex
-    turns violator only by losing a neighbour, and a heap re-queueing it
-    then would pop the same vertex at every step.
+    While the least survivor v violates it is the first violator, of
+    degree (adj[v] >> v).bit_count() with every vertex below it gone, so
+    that opening run needs no array. Then degrees sit in a numpy vector:
+    each step removes the first violator and subtracts its unpacked row.
+    A removed vertex's entry becomes 3n, above 2n after its at most n - 1
+    later decrements, so out of reach of the threshold (below 1.5 n). The
+    threshold only falls, so a vertex turns violator only by losing a
+    neighbour, and a heap re-queueing it then would pop the same vertex.
     """
     if not 0.0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
@@ -114,14 +116,18 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     deficiency = HypothesisViolation("edge-deficiency", (), g.size, beta * (1.0 + eps) * n * n)
     if n == 0:
         return deficiency
-    deg = np.array([mask.bit_count() for mask in g._adj], np.int64)
-    m = n
+    adj, m = g._adj, n
+    while (adj[n - m] >> n - m).bit_count() <= coef * m:
+        m -= 1
+        if m <= cn:
+            return deficiency
+    deg = np.array([3 * n] * (n - m) + [(a >> n - m).bit_count() for a in adj[n - m:]], np.int64)
     while (low := deg <= coef * m)[v := int(low.argmax())]:
         deg[v] = 3 * n
         m -= 1
         if m <= cn:
             return deficiency
-        row = np.frombuffer(g._adj[v].to_bytes((n + 7) // 8, "little"), np.uint8)
+        row = np.frombuffer(adj[v].to_bytes((n + 7) // 8, "little"), np.uint8)
         deg -= np.unpackbits(row, count=n, bitorder="little")
     return tuple(np.flatnonzero(deg < n).tolist())
 
@@ -154,11 +160,11 @@ def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold,
     )
     common = mask & ~dmask
     for v in d:
-        dv = (g.neighbor_mask(v) & mask).bit_count()
+        dv = (adj[v] & mask).bit_count()
         if dv < thr:
             pool = None if within is None else tuple(bits(within))
             return HypothesisViolation("low-degree-vertex", (v,), dv, thr, pool)
-        common &= g.neighbor_mask(v)
+        common &= adj[v]
     return d, dmask, mask, common
 
 

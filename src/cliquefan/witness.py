@@ -153,7 +153,8 @@ def _disjoint_blades(
 
 def _blade_problem(g: Graph, center: int, blade, size: int, seen: set[int]) -> str | None:
     """The first fault of one blade: its size, its vertices (range, and
-    not in ``seen``, which takes them in), then its clique with the center."""
+    not in ``seen``, which takes them in), then its clique with the center,
+    accepted by row masks."""
     if len(blade) != size:
         return f"wrong blade size: {len(blade)} != {size}"
     for v in blade:
@@ -162,7 +163,9 @@ def _blade_problem(g: Graph, center: int, blade, size: int, seen: set[int]) -> s
         if v in seen:
             return f"duplicate vertex {v}"
         seen.add(v)
-    group = (center, *blade)
+    group, gmask = (center, *blade), mask_from(blade) | 1 << center
+    if all((g._adj[u] | 1 << u) & gmask == gmask for u in group):
+        return None  # only a blade that fails walks its pairs, to name the first gap
     for i, u in enumerate(group):
         for v in group[i + 1:]:
             if not g.has_edge(u, v):

@@ -1,16 +1,21 @@
 """Hand mutants of the checkers that share no code with the search, of
 the oracle's class-table loader and placements, of the independence
-solver's join floor and of the r = 1 triangle-count kernel.
+solver's join floor, of the r = 1 triangle-count kernel and of the
+peel's opening run.
 
 Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
 of the package and its tests, then runs the test files it names there,
 stopping at the first failure: the checker tests (``test_finder.py``,
 ``test_witness.py`` and ``test_graphs.py``) for the checkers,
 ``test_oracle.py`` for the oracle, ``test_invariants.py`` for the
-solver and ``test_witness.py`` for the kernel. The unmutated copy runs
-every named file. A mutant is killed when some test fails and survives
-when all pass. The two equivalent mutants cannot change any result;
-they are listed with their reason and not run.
+solver, ``test_witness.py`` for the kernel and ``test_finder.py`` for
+the peel. The unmutated copy runs every named file. A mutant is killed
+when some test fails and survives when all pass. Some mutants of the
+peel's run and of the blade mask test keep every result and only send
+work to the slow path; tests that forbid that path for the inputs that
+never need it (numpy for a peel that is all run, the pair walk for a
+valid blade) kill them. The three equivalent mutants change neither
+result nor path; they are listed with their reason and not run.
 
 Run from anywhere with ``python3 tests/mutants.py``. It uses only the
 standard library, runs one pytest process at a time, and exits 1 if a
@@ -34,6 +39,7 @@ CHECKER_TESTS = ("tests/test_finder.py", "tests/test_witness.py", "tests/test_gr
 ORACLE_TESTS = ("tests/test_oracle.py",)
 KERNEL_TESTS = ("tests/test_witness.py",)
 INVARIANT_TESTS = ("tests/test_invariants.py",)
+PEEL_TESTS = ("tests/test_finder.py",)
 
 # (name, module, snippet, replacement, test files); each snippet occurs
 # once in its module.
@@ -74,6 +80,20 @@ MUTANTS = [
      "start = sum(CLASS_COUNTS[:n])", "start = sum(CLASS_COUNTS[:n]) + 1", ORACLE_TESTS),
     ("nonisomorphic_graph_codes: last section one code short", "oracle.py",
      "CLASS_COUNTS[n], 4 * start", "CLASS_COUNTS[n] - n // 8, 4 * start", ORACLE_TESTS),
+    ("peel opening run: <= to <", "finder.py",
+     "(adj[n - m] >> n - m).bit_count() <= coef * m", "(adj[n - m] >> n - m).bit_count() < coef * m",
+     PEEL_TESTS),
+    ("peel opening run: count the whole row", "finder.py",
+     "(adj[n - m] >> n - m).bit_count()", "adj[n - m].bit_count()", PEEL_TESTS),
+    ("peel opening run: stop at m > cn + 1", "finder.py",
+     "while (adj[n - m]", "while m > cn + 1 and (adj[n - m]", PEEL_TESTS),
+    ("peel opening run: deficiency one survivor early", "finder.py",
+     "        if m <= cn:\n            return deficiency\n    deg",
+     "        if m <= cn + 1:\n            return deficiency\n    deg", PEEL_TESTS),
+    ("_blade_problem: row mask without the vertex's own bit", "witness.py",
+     "(g._adj[u] | 1 << u) & gmask", "g._adj[u] & gmask", CHECKER_TESTS),
+    ("_blade_problem: accept a blade when any vertex sees the group", "witness.py",
+     "if all((g._adj[u]", "if any((g._adj[u]", CHECKER_TESTS),
     ("triangle_counts: credit only the row end of a hit edge", "witness.py",
      "t += np.bincount(i[hit] + a, minlength=n) + np.bincount(v[hit], minlength=n)",
      "t += np.bincount(i[hit] + a, minlength=n)", KERNEL_TESTS),
@@ -89,6 +109,8 @@ EQUIVALENT = [
      "already misses the clique"),
     ("is_independent: skip the first vertex",
      "edges are symmetric, so an edge at the first vertex shows in its other end's row"),
+    ("peel opening run: >> n - m + 1",
+     "no row holds its own bit, so dropping the vertex's own place counts the same neighbours"),
 ]
 
 

@@ -85,6 +85,8 @@ class TestPeel:
             # The degree coefficient 2 beta (1 + eps/2) near its 1.5 supremum.
             (gnp_random(200, 0.9, 7), 0.49, 0.99, 0.5),
         ]
+        run_cases = opening_run_cases()
+        cases += [case for case, _ in run_cases]
         for i in range(200):
             n, r, p = 8 + i % 47, 2 + i % 2, (0.5, 0.7, 0.85, 0.95)[i % 4]
             cases.append((gnp_random(n, p, 9_000_000 + i), *params(n, r, 0.3)))
@@ -98,6 +100,65 @@ class TestPeel:
         assert len(peel_dense_subgraph(*cases[2])) == 480
         assert len(peel_dense_subgraph(*cases[3])) == 1294
         assert isinstance(peel_dense_subgraph(*cases[4]), HypothesisViolation)
+        for case, want in run_cases:
+            assert peel_dense_subgraph(*case) == want
+
+    def test_opening_run_needs_no_array(self, monkeypatch):
+        """A peel in which every removal is the least survivor, down to the
+        deficiency, stays on the rows' Python ints: numpy is never reached."""
+        runs = [(case, want) for case, want in opening_run_cases()
+                if isinstance(want, HypothesisViolation)]
+        assert len(runs) == 12
+        monkeypatch.setattr(finder, "np", None)
+        for case, want in runs:
+            assert peel_dense_subgraph(*case) == want
+
+
+def opening_run_cases():
+    """(peel arguments, expected outcome) pairs that pin the opening run of
+    least-survivor removals at each of its ends."""
+    def params(n, r, eps):
+        th = search_thresholds(n, 2, r, eps)
+        return th["peel_beta"], th["peel_eps"], th["peel_c"]
+
+    def deficiency(g, beta, eps):
+        return HypothesisViolation("edge-deficiency", (), g.size, beta * (1 + eps) * g.n * g.n)
+
+    cases = []
+    # The run eats a sparse host down to the deficiency.
+    for n, seed in ((60, 11), (150, 12), (400, 13)):
+        g = gnp_random(n, 0.3, seed)
+        cases.append(((g, *params(n, 3, 0.3)), deficiency(g, *params(n, 3, 0.3)[:2])))
+    # The run stops at vertex 0: nothing goes, or the array loop drops 6,
+    # whose degree ties at 6 = 0.75 * 8 (coef 0.75), as does 7's.
+    cases.append(((complete(12), *params(12, 2, 0.3)), tuple(range(12))))
+    g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)])
+    cases.append(((g, 0.3, 0.5, 0.3), (0, 1, 2, 3, 4, 5, 7)))
+    # The run takes the isolated 0..9 and stops at the clique on 10..89; the
+    # array loop then drops 90..99, each joined to five clique vertices.
+    edges = [(u, v) for u in range(10, 90) for v in range(u + 1, 90)]
+    edges += [(u, 90 + i) for i in range(10) for u in range(10 + 5 * i, 15 + 5 * i)]
+    g = Graph(100, edges)
+    cases.append(((g, *params(100, 2, 0.2)), tuple(range(10, 90))))
+    # The run leaves exactly 30 > cn = 29.5 vertices: the clique on 70..99.
+    g = Graph(100, [(u, v) for u in range(70, 100) for v in range(u + 1, 100)])
+    cases.append(((g, 0.3, 0.5, 0.295), tuple(range(70, 100))))
+    # coef = 2 beta (1 + eps/2) >= 1: every vertex violates, so the run
+    # takes even a complete host to the deficiency.
+    for g in (complete(20), gnp_random(40, 0.9, 14)):
+        r4 = params(g.n, 4, 0.9 * 3 / 4)
+        assert 2 * r4[0] * (1 + r4[1] / 2) >= 1
+        cases.append(((g, *r4), deficiency(g, *r4[:2])))
+        cases.append(((g, 0.45, 0.9, 0.6), deficiency(g, 0.45, 0.9)))
+    # coef = 0.75 exactly: vertex 0 has degree 6 = 0.75 * 8 and still goes,
+    # as does vertex 4 with degree 3 = 0.75 * 4, at m = 4.
+    g = Graph(8, [(0, v) for v in range(1, 7)] + [(4, 5), (4, 6), (4, 7)])
+    assert 2 * 0.3 * (1 + 0.5 / 2) == 0.75
+    cases.append(((g, 0.3, 0.5, 0.3), deficiency(g, 0.3, 0.5)))
+    # The smallest hosts.
+    for g in (Graph(0, []), Graph(1, []), Graph(2, []), complete(2)):
+        cases.append(((g, *params(g.n, 2, 0.3)), deficiency(g, *params(g.n, 2, 0.3)[:2])))
+    return cases
 
 
 def heap_peel(g: Graph, beta: float, eps: float, c: float):

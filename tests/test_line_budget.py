@@ -8,7 +8,7 @@ commit and says why in CHANGES.md; a change that shrinks it may lower it.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cliquefan"
-SRC_LINE_BUDGET = 2037
+SRC_LINE_BUDGET = 2046
 
 
 def test_package_stays_within_its_line_budget():

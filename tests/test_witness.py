@@ -189,6 +189,24 @@ class TestVerifyFan:
         emb = FanEmbedding(0, ((1, 2), (3, 4)))
         assert "missing edge" in verify_fan(g, emb, FanShape(2, 3))
 
+    def test_first_missing_edge_in_scan_order_is_named(self):
+        # The second blade misses (4, 6) and (5, 6); pairs are scanned from
+        # the center through the blade in its given order.
+        g = complete_minus(7, ((4, 6), (5, 6)))
+        shape = FanShape(2, 4)
+        assert verify_fan(g, FanEmbedding(0, ((1, 2, 3), (4, 5, 6))), shape) == "missing edge (4, 6)"
+        assert verify_fan(g, FanEmbedding(0, ((1, 2, 3), (6, 5, 4))), shape) == "missing edge (6, 5)"
+
+    def test_valid_blades_are_accepted_on_row_masks(self, monkeypatch):
+        def no_pair_walk(*_):
+            raise AssertionError("a valid blade walked its pairs")
+
+        monkeypatch.setattr(Graph, "has_edge", no_pair_walk)
+        emb = FanEmbedding(0, ((1, 2, 3, 4), (8, 7, 6, 5)))
+        assert verify_fan(complete(9), emb, FanShape(2, 5)) is None
+        gen = GeneralizedFanEmbedding((0, 1), (((2, 3),), ((5, 4), (6, 7))))
+        assert verify_generalized_fan(complete(8), gen, 1) is None
+
     def test_wrong_blade_size_rejected(self):
         g = wheel4()
         emb = FanEmbedding(0, ((1, 2), (3,)))
@@ -219,6 +237,18 @@ class TestVerifyGeneralizedFan:
         emb = GeneralizedFanEmbedding((0,), (((1, 2, 3),),))
         assert "blade size" in verify_generalized_fan(g, emb, 2)
         assert verify_generalized_fan(g, GeneralizedFanEmbedding((0,), (((1, 2),),)), 1) is None
+
+    def test_first_missing_edge_in_scan_order_is_named(self):
+        # Center 1's blade misses (4, 6) and (5, 6); center 0's blade is whole.
+        g = complete_minus(10, ((4, 6), (5, 6)))
+        emb = GeneralizedFanEmbedding((0, 1), (((2, 3, 7, 8),), ((4, 5, 6, 9),)))
+        assert verify_generalized_fan(g, emb, 2) == "missing edge (4, 6)"
+        emb = GeneralizedFanEmbedding((0, 1), (((2, 3, 7, 8),), ((6, 5, 4, 9),)))
+        assert verify_generalized_fan(g, emb, 2) == "missing edge (6, 5)"
+
+
+def complete_minus(n: int, missing) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in missing])
 
 
 K6 = complete(6)
