@@ -98,7 +98,9 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
     While the least survivor v violates it is the first violator, of
     degree (adj[v] >> v).bit_count() with every vertex below it gone, so
     that opening run needs no array. Then degrees sit in a numpy vector:
-    each step removes the first violator and subtracts its unpacked row.
+    each step removes the first violator and subtracts its row of an n x n
+    uint8 array (n^2 bytes), the host's rows unpacked once, lazily, at the
+    first such step.
     A removed vertex's entry becomes 3n, above 2n after its at most n - 1
     later decrements, so out of reach of the threshold (below 1.5 n). The
     threshold only falls, so a vertex turns violator only by losing a
@@ -122,61 +124,80 @@ def peel_dense_subgraph(g: Graph, beta: float, eps: float, c: float):
         if m <= cn:
             return deficiency
     deg = np.array([3 * n] * (n - m) + [(a >> n - m).bit_count() for a in adj[n - m:]], np.int64)
+    rows = None
     while (low := deg <= coef * m)[v := int(low.argmax())]:
         deg[v] = 3 * n
         m -= 1
         if m <= cn:
             return deficiency
-        row = np.frombuffer(adj[v].to_bytes((n + 7) // 8, "little"), np.uint8)
-        deg -= np.unpackbits(row, count=n, bitorder="little")
+        if rows is None:
+            raw = np.frombuffer(b"".join(a.to_bytes((n + 7) // 8, "little") for a in adj), np.uint8)
+            rows = np.unpackbits(raw.reshape(n, -1), axis=1, count=n, bitorder="little")
+        deg -= rows[v]
     return tuple(np.flatnonzero(deg < n).tolist())
 
 
-def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold, max_size: int):
-    """Front end shared by the clique steps.
-
-    Checks the clique, its size bound and the restriction mask, then the
-    degree hypothesis d(v) >= (1 - 1/r + eps/3) n on every member, n
-    being the restricted order. Returns the first failing member as a
-    low-degree violation, or else the clique as a sorted tuple, its
-    mask, the restriction mask and the clique's common neighbors inside
-    it.
-    """
-    mask = restriction_mask(g, within)
-    dmask, adj = vertex_mask(g, clique), g._adj
+def _step_kernel(adj, dmask: int, mask: int, thr: float, r: int, within, alpha_bound=None):
+    """The clique step on masks, called by the search loop and by
+    :func:`_clique_step`. Checks that ``dmask`` is a clique (one AND of its
+    closed rows, which leaves its common neighbours) inside the pool
+    ``mask`` of at most r vertices (2r for a rotation, ``alpha_bound`` not
+    None) whose members have ``thr`` pool neighbours each, else returns
+    the first that fails as a low-degree violation. An extension returns
+    the added vertex, a rotation the new clique's mask; violations record
+    the pool as ``within``, None for every vertex."""
     d = tuple(bits(dmask))  # repeats merge, as in a vertex set
-    if not all((adj[u] | 1 << u) & dmask == dmask for u in d):
+    common = -1
+    for u in d:
+        common &= adj[u] | 1 << u
+    if common & dmask != dmask:
         raise ValueError(f"{d} is not a clique")
     if dmask & ~mask:
         raise ValueError(f"clique {d} leaves the restriction")
-    if r < 1:
-        raise ValueError("r must be positive")
-    if len(d) > max_size:
+    if len(d) > (max_size := r if alpha_bound is None else 2 * r):
         raise ValueError(f"clique of size {len(d)} exceeds the bound {max_size}")
-    thr = (
-        degree_threshold
-        if degree_threshold is not None
-        else (1.0 - 1.0 / r + eps / 3.0) * mask.bit_count()
-    )
-    common = mask & ~dmask
     for v in d:
-        dv = (adj[v] & mask).bit_count()
-        if dv < thr:
+        if (dv := (adj[v] & mask).bit_count()) < thr:
             pool = None if within is None else tuple(bits(within))
             return HypothesisViolation("low-degree-vertex", (v,), dv, thr, pool)
-        common &= adj[v]
-    return d, dmask, mask, common
+    common &= mask & ~dmask
+    if alpha_bound is not None and not d:
+        raise ValueError("cannot rotate an empty clique")
+    if low := common & -common:
+        return low.bit_length() - 1 if alpha_bound is None else dmask | low
+    if alpha_bound is not None:
+        buckets = dict.fromkeys(d, 0)
+        for w in bits(mask & ~dmask):
+            missed = dmask & ~adj[w]
+            if missed and not missed & (missed - 1):
+                buckets[missed.bit_length() - 1] |= 1 << w
+        for v, bucket in buckets.items():
+            # The first x with a neighbour in its bucket has none below it.
+            for x in bits(bucket):
+                if nb := adj[x] & bucket:
+                    return dmask ^ 1 << v | 1 << x | nb & -nb
+        witness = tuple(bits(max(buckets.values(), key=int.bit_count)))
+        if len(witness) > alpha_bound:
+            return HypothesisViolation("large-independent-set", witness, len(witness), alpha_bound)
+    pool = None if within is None else tuple(bits(within))
+    return HypothesisViolation("clique-extension-failure", d, 0, 1.0, pool)
 
 
-def extend_clique(
-    g: Graph,
-    clique,
-    r: int,
-    eps: float,
-    *,
-    within: int | None = None,
-    degree_threshold: float | None = None,
-):
+def _clique_step(g: Graph, clique, r: int, eps: float, within, degree_threshold, alpha_bound=None):
+    """:func:`_step_kernel` behind the public steps' checks: the restriction
+    mask and the clique in range, r >= 1; the degree bound is ``degree_threshold``
+    or else (1 - 1/r + eps/3) n, n being the restricted order."""
+    mask = restriction_mask(g, within)
+    dmask = vertex_mask(g, clique)
+    if r < 1:
+        raise ValueError("r must be positive")
+    coef = 1.0 - 1.0 / r + eps / 3.0
+    thr = coef * mask.bit_count() if degree_threshold is None else degree_threshold
+    return _step_kernel(g._adj, dmask, mask, thr, r, within, alpha_bound)
+
+
+def extend_clique(g: Graph, clique, r: int, eps: float, *, within: int | None = None,
+                  degree_threshold: float | None = None):
     """Smallest common neighbor of a clique of at most r vertices.
 
     ``within`` is a vertex mask restricting the step to that pool (None
@@ -193,26 +214,11 @@ def extend_clique(
     is adjacent to all of it. Inside the search only a rotation can
     report an extension failure.
     """
-    step = _clique_step(g, clique, r, eps, within, degree_threshold, r)
-    if isinstance(step, HypothesisViolation):
-        return step
-    d, _, _, common = step
-    if common == 0:
-        pool = None if within is None else tuple(bits(within))
-        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, pool)
-    return (common & -common).bit_length() - 1
+    return _clique_step(g, clique, r, eps, within, degree_threshold)
 
 
-def rotate_clique(
-    g: Graph,
-    clique,
-    r: int,
-    eps: float,
-    alpha_bound: float,
-    *,
-    within: int | None = None,
-    degree_threshold: float | None = None,
-):
+def rotate_clique(g: Graph, clique, r: int, eps: float, alpha_bound: float, *,
+                  within: int | None = None, degree_threshold: float | None = None):
     """Grow a clique of 1 to 2r vertices by one, reusing all but at most
     one of its vertices, and return the new clique as a sorted tuple.
 
@@ -226,32 +232,8 @@ def rotate_clique(
     clique is reported as a clique-extension failure within the rotation
     pool, which it is, since no vertex there extends it.
     """
-    step = _clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
-    if isinstance(step, HypothesisViolation):
-        return step
-    d, dmask, mask, common = step
-    if not d:
-        raise ValueError("cannot rotate an empty clique")
-    if common:
-        return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
-    adj = g._adj
-    buckets = dict.fromkeys(d, 0)
-    for w in bits(mask & ~dmask):
-        missed = dmask & ~adj[w]
-        if missed and not missed & (missed - 1):
-            buckets[missed.bit_length() - 1] |= 1 << w
-    for v, bucket in buckets.items():
-        # The first x with a neighbour in its bucket has none below it.
-        for x in bits(bucket):
-            if nb := adj[x] & bucket:
-                return tuple(bits(dmask ^ 1 << v | 1 << x | nb & -nb))
-    witness = tuple(bits(max(buckets.values(), key=int.bit_count)))
-    if len(witness) <= alpha_bound:
-        pool = None if within is None else tuple(bits(within))
-        return HypothesisViolation("clique-extension-failure", d, 0, 1.0, pool)
-    return HypothesisViolation(
-        "large-independent-set", witness, len(witness), alpha_bound, None
-    )
+    res = _clique_step(g, clique, r, eps, within, degree_threshold, alpha_bound)
+    return res if isinstance(res, HypothesisViolation) else tuple(bits(res))
 
 
 def search_thresholds(n: int, k: int, r: int, eps: float) -> dict[str, Any]:
@@ -347,6 +329,10 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     shrink the base to that prefix. The count tuple rises strictly in
     lexicographic order each time, which caps the loop at k^(r+1)
     iterations; exceeding the cap is a bug, not a legitimate outcome.
+    The pool is held as one blade mask per kept base vertex: shrinking the
+    base gives the dropped vertices' blades back, and a vertex extended
+    again starts with none. Each pass takes the pool and its degree bound
+    once, for every extend and rotate step of :func:`_step_kernel`.
 
     Requires eps < (r - 1)/r for r >= 2 so the peeling slack stays valid.
     """
@@ -364,19 +350,23 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
     if isinstance(peeled, HypothesisViolation):
         return _finish_violation(cert, peeled)
     cert.steps.append({"kind": "peel", "survivors": list(peeled)})
-    core = mask_from(peeled)
+    adj, core = g._adj, mask_from(peeled)
 
     base: list[int] = []
     blades: dict[int, list[tuple[int, ...]]] = {}
+    held: dict[int, int] = {}  # a base vertex's blades as one mask
     prev_tuple: tuple[int, ...] = ()
     for _ in range(k ** (r + 1) + 1):
-        free = core & ~mask_from(v for lst in blades.values() for b in lst for v in b)
+        free = core & ~sum(held[v] for v in base)  # disjoint masks: the sum is the union
+        thr = th["degree_coef"] * free.bit_count()
+        clique = mask_from(base)
         while len(base) < r + 1:
-            res = extend_clique(g, base, r, eps, within=free)
+            res = _step_kernel(adj, clique, free, thr, r, free)
             if isinstance(res, HypothesisViolation):
                 return _finish_violation(cert, res)
             base.append(res)
-            blades[res] = []
+            clique |= 1 << res
+            blades[res], held[res] = [], 0
             cert.steps.append({"kind": "extend", "added": res, "clique": sorted(base)})
 
         order = sorted(base, key=lambda v: (-len(blades[v]), v))
@@ -389,21 +379,20 @@ def find_odd_fan(g: Graph, k: int, r: int, eps: float):
         if reason is not None:
             raise SearchInvariantError(f"intermediate fan invalid: {reason}")
 
-        rotated = tuple(sorted(base))
         for _ in range(r):
-            res = rotate_clique(g, rotated, r, eps, th["alpha_bound"], within=free)
+            res = _step_kernel(adj, clique, free, thr, r, free, th["alpha_bound"])
             if isinstance(res, HypothesisViolation):
                 return _finish_violation(cert, res)
-            cert.steps.append({"kind": "rotate", "from": list(rotated), "to": list(res)})
-            rotated = res
+            cert.steps.append({"kind": "rotate", "from": list(bits(clique)), "to": list(bits(res))})
+            clique = res
 
-        v_s = next((v for v in order if v in rotated), None)
+        v_s = next((v for v in order if clique >> v & 1), None)
         if v_s is None:
             raise SearchInvariantError("rotation lost every base vertex")
         s = order.index(v_s) + 1
-        new_blade = tuple(v for v in rotated if v != v_s)
+        held[v_s] |= clique ^ 1 << v_s
+        new_blade = tuple(bits(clique ^ 1 << v_s))
         base = order[:s]
-        blades = {v: blades[v] for v in base}
         blades[v_s].append(new_blade)
         after = sorted((len(blades[v]) for v in base), reverse=True)
         cert.steps.append(

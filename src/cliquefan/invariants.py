@@ -66,21 +66,32 @@ def max_matching(g: Graph, within: int | None = None) -> tuple[tuple[int, int], 
     mask ``within`` (None for every vertex), exact via blossom contraction,
     as its edges (u, v), u < v, in ascending order. A mask with a bit
     outside ``[0, n)`` raises ``ValueError``."""
-    mask, adj = restriction_mask(g, within), g._adj
-    match = [-1] * g.n
-    for v, u in greedy_matching(adj, mask):  # warm start
+    mask = restriction_mask(g, within)
+    return _max_matching_from(g._adj, mask, greedy_matching(g._adj, mask))
+
+
+def _max_matching_from(adj: tuple[int, ...], mask: int, warm: list[tuple[int, int]]):
+    """:func:`max_matching` from ``warm = greedy_matching(adj, mask)``. A path
+    augments between two roots, exposed non-isolated vertices: with fewer,
+    ``warm`` is maximum and comes back as it stands."""
+    exposed = mask
+    for v, u in warm:
+        exposed ^= 1 << v | 1 << u
+    roots = [v for v in bits(exposed) if adj[v] & mask]
+    if len(roots) < 2:
+        return tuple(warm)
+    match = dict.fromkeys(bits(mask), -1)
+    for v, u in warm:
         match[v], match[u] = u, v
-    # Roots are the exposed non-isolated vertices. A root that fails never
-    # augments later (Edmonds 1965), so a path ends at a root after its
-    # own: a root with no exposed one after it is left alone.
-    roots = [v for v in bits(mask) if match[v] == -1 and adj[v] & mask]
+    # A root that fails never augments later (Edmonds 1965), so a path ends at
+    # a root after its own: a root with no exposed one after it is left alone.
     for i, v in enumerate(roots):
         if match[v] == -1 and any(match[w] == -1 for w in roots[i + 1:]):
             _augment_from(adj, mask, v, match)
-    return tuple((v, match[v]) for v in bits(mask) if match[v] > v)
+    return tuple((v, u) for v, u in match.items() if u > v)
 
 
-def _augment_from(adj: tuple[int, ...], mask: int, root: int, match: list[int]) -> bool:
+def _augment_from(adj: tuple[int, ...], mask: int, root: int, match: dict[int, int]) -> bool:
     """Grow an alternating forest from ``root`` inside ``mask``; augment if
     an exposed vertex is reached, contracting blossoms on the way. Parents
     and bases are keyed by the mask's vertices, not by all of the host's."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .generators import FanShape
 from .graphs import Graph, is_clique, mask_from
-from .invariants import greedy_matching, max_matching
+from .invariants import _max_matching_from, greedy_matching
 
 TRIANGLE_BLOCK_WORDS = 1 << 14  # edge ends per block of rows in triangle_counts
 
@@ -66,11 +66,11 @@ def _triangle_fan_at(g: Graph, center: int, k: int) -> FanEmbedding | None:
     """The fan of k triangles through ``center``, or None when nu(G[N]) < k.
     Two Tutte-Berge barriers settle most centers on the host's masks: U =
     {} gives nu <= d/2, and U = a greedy maximal matching's vertices gives
-    nu <= 2 |greedy|. A maximum matching inside N decides the rest."""
+    nu <= 2 |greedy|. A maximum matching inside N, warm-started from it, decides the rest."""
     nbhd = g._adj[center]
-    if nbhd.bit_count() < 2 * k or 2 * len(greedy_matching(g._adj, nbhd)) < k:
+    if nbhd.bit_count() < 2 * k or 2 * len(greedy := greedy_matching(g._adj, nbhd)) < k:
         return None
-    mm = max_matching(g, nbhd)
+    mm = _max_matching_from(g._adj, nbhd, greedy)
     return FanEmbedding(center, mm[:k]) if len(mm) >= k else None
 
 

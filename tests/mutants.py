@@ -1,21 +1,26 @@
 """Hand mutants of the checkers that share no code with the search, of
 the oracle's class-table loader and placements, of the independence
-solver's join floor, of the r = 1 triangle-count kernel and of the
-peel's opening run.
+solver's join floor, of the matching's early return, of the r = 1
+triangle-count kernel, of the peel (its opening run and its unpacked
+rows) and of the r >= 2 loop (the blade masks it keeps and the clique
+step kernel).
 
 Each mutant replaces one snippet of ``src/cliquefan`` in a temporary copy
 of the package and its tests, then runs the test files it names there,
 stopping at the first failure: the checker tests (``test_finder.py``,
 ``test_witness.py`` and ``test_graphs.py``) for the checkers,
 ``test_oracle.py`` for the oracle, ``test_invariants.py`` for the
-solver, ``test_witness.py`` for the kernel and ``test_finder.py`` for
-the peel. The unmutated copy runs every named file. A mutant is killed
-when some test fails and survives when all pass. Some mutants of the
-peel's run and of the blade mask test keep every result and only send
-work to the slow path; tests that forbid that path for the inputs that
-never need it (numpy for a peel that is all run, the pair walk for a
-valid blade) kill them. The three equivalent mutants change neither
-result nor path; they are listed with their reason and not run.
+solvers, ``test_witness.py`` for the kernel and ``test_finder.py`` for
+the peel and the loop. The unmutated copy runs every named file. A
+mutant is killed when some test fails and survives when all pass. Some
+mutants of the peel's run and of the blade mask test keep every result
+and only send work to the slow path; tests that forbid that path for the
+inputs that never need it (numpy for a peel that is all run, the pair
+walk for a valid blade) kill them. The stale blade mask changes a
+certificate only on a host that drops a base vertex holding a blade and
+extends it again, which ``test_finder.py`` builds for it. The three
+equivalent mutants change neither result nor path; they are listed with
+their reason and not run.
 
 Run from anywhere with ``python3 tests/mutants.py``. It uses only the
 standard library, runs one pytest process at a time, and exits 1 if a
@@ -39,7 +44,7 @@ CHECKER_TESTS = ("tests/test_finder.py", "tests/test_witness.py", "tests/test_gr
 ORACLE_TESTS = ("tests/test_oracle.py",)
 KERNEL_TESTS = ("tests/test_witness.py",)
 INVARIANT_TESTS = ("tests/test_invariants.py",)
-PEEL_TESTS = ("tests/test_finder.py",)
+SEARCH_TESTS = ("tests/test_finder.py",)
 
 # (name, module, snippet, replacement, test files); each snippet occurs
 # once in its module.
@@ -82,14 +87,14 @@ MUTANTS = [
      "CLASS_COUNTS[n], 4 * start", "CLASS_COUNTS[n] - n // 8, 4 * start", ORACLE_TESTS),
     ("peel opening run: <= to <", "finder.py",
      "(adj[n - m] >> n - m).bit_count() <= coef * m", "(adj[n - m] >> n - m).bit_count() < coef * m",
-     PEEL_TESTS),
+     SEARCH_TESTS),
     ("peel opening run: count the whole row", "finder.py",
-     "(adj[n - m] >> n - m).bit_count()", "adj[n - m].bit_count()", PEEL_TESTS),
+     "(adj[n - m] >> n - m).bit_count()", "adj[n - m].bit_count()", SEARCH_TESTS),
     ("peel opening run: stop at m > cn + 1", "finder.py",
-     "while (adj[n - m]", "while m > cn + 1 and (adj[n - m]", PEEL_TESTS),
+     "while (adj[n - m]", "while m > cn + 1 and (adj[n - m]", SEARCH_TESTS),
     ("peel opening run: deficiency one survivor early", "finder.py",
      "        if m <= cn:\n            return deficiency\n    deg",
-     "        if m <= cn + 1:\n            return deficiency\n    deg", PEEL_TESTS),
+     "        if m <= cn + 1:\n            return deficiency\n    deg", SEARCH_TESTS),
     ("_blade_problem: row mask without the vertex's own bit", "witness.py",
      "(g._adj[u] | 1 << u) & gmask", "g._adj[u] & gmask", CHECKER_TESTS),
     ("_blade_problem: accept a blade when any vertex sees the group", "witness.py",
@@ -101,6 +106,14 @@ MUTANTS = [
      "for c in cols:", "for c in cols[:-1]:", KERNEL_TESTS),
     ("triangle_counts: keep both directions of each edge", "witness.py",
      " & (ones << later)", "", KERNEL_TESTS),
+    ("find_odd_fan: a re-extended base vertex keeps its old blade mask", "finder.py",
+     "blades[res], held[res] = [], 0", "blades[res], held[res] = [], held.get(res, 0)", SEARCH_TESTS),
+    ("_step_kernel: drop the clique test", "finder.py",
+     "if common & dmask != dmask:", "if False:", SEARCH_TESTS),
+    ("_max_matching_from: early return at fewer than three roots", "invariants.py",
+     "if len(roots) < 2:", "if len(roots) < 3:", INVARIANT_TESTS),
+    ("peel: subtract the row of v + 1", "finder.py",
+     "deg -= rows[v]", "deg -= rows[v + 1]", SEARCH_TESTS),
 ]
 
 EQUIVALENT = [

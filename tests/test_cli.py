@@ -265,7 +265,7 @@ class TestCommands:
     def test_verify_runs_the_violation_checker(self, tmp_path, capsys, monkeypatch):
         # Producing and replaying both emit the bad witness, so only the
         # independent checker can reject it.
-        monkeypatch.setattr(finder, "rotate_clique", empty_witness_rotation(finder.rotate_clique))
+        monkeypatch.setattr(finder, "_step_kernel", empty_witness_rotation(finder._step_kernel))
         gpath = write_graph_file(tmp_path, gnp_random(19, 0.95, 9_000_071))
         cpath = str(tmp_path / "cert.json")
         assert run_cli("find-fan", gpath, "--k", "3", "--r", "3", "--eps", "0.3",

@@ -25,6 +25,7 @@ from cliquefan.generators import (
     triangle_free_process,
     turan_graph,
 )
+from cliquefan.graphio import certificate_to_json
 from cliquefan.graphs import Graph, bits, is_clique, is_independent
 from cliquefan.invariants import max_independent_set, max_matching
 from cliquefan.oracle import graph_from_code, pair_count
@@ -373,14 +374,16 @@ class TestRotateClique:
 
 def list_bucket_rotation(g, clique, r, eps, alpha_bound, *, within=None, degree_threshold=None):
     """The rotation with one ascending vertex list per bucket, scanned
-    pair by pair: the reference for the bitmask buckets."""
-    step = finder._clique_step(g, clique, r, eps, within, degree_threshold, 2 * r)
-    if isinstance(step, HypothesisViolation):
-        return step
-    d, _, mask, common = step
+    pair by pair: the reference for the bitmask buckets. It takes a clique
+    inside ``within`` and a zero degree threshold, so no check fails, and
+    shares no code with the search."""
+    assert degree_threshold == 0.0 and is_clique(g, clique)
+    mask = (1 << g.n) - 1 if within is None else within
+    d = tuple(sorted(set(clique)))
     within_t = None if within is None else tuple(bits(mask))
+    common = [w for w in bits(mask) if w not in d and all(g.has_edge(w, v) for v in d)]
     if common:
-        return tuple(sorted(d + ((common & -common).bit_length() - 1,)))
+        return tuple(sorted(d + (common[0],)))
     dmask = sum(1 << v for v in d)
     buckets = {v: [] for v in d}
     for w in bits(mask & ~dmask):
@@ -711,6 +714,84 @@ class TestFindOddFan:
             find_odd_fan(complete(5), 1, 2, 0.7)  # peel slack would leave (0, 1)
 
 
+# Found by flipping edges of a G(22, 0.75) draw: base vertex 6 gets a blade,
+# is swapped out by a rotation, is extended again and stays in the base, so
+# a stale blade mask on it would shrink the next pass's pool. No G(n, p)
+# draw of the grid below drops a base vertex that holds a blade and
+# extends it again. Run at k = 3, r = 2, eps = 0.1.
+REEXTENDED_HOST = graph_from_code(22, 0x57B7FF972B7EDEDBD5EED27D5B67A3EA6D356AECEECC5257301CCEFEB8)
+
+
+def rebuilt_pool_search(g: Graph, k: int, r: int, eps: float):
+    """The r >= 2 search with the pool rebuilt from every blade on each
+    pass, through the public clique steps: the reference for the blade
+    masks the search keeps. Returns its certificate and how many times it
+    extended a vertex that had left the base holding a blade."""
+    th = search_thresholds(g.n, k, r, eps)
+    cert = finder.SearchCertificate({"n": g.n, "edges": g.size, "k": k, "r": r, "eps": eps},
+                                    th, [], {})
+    peeled = peel_dense_subgraph(g, th["peel_beta"], th["peel_eps"], th["peel_c"])
+    if isinstance(peeled, HypothesisViolation):
+        return finder._finish_violation(cert, peeled)[1], 0
+    cert.steps.append({"kind": "peel", "survivors": list(peeled)})
+    core = sum(1 << v for v in peeled)
+    base, blades, left_holding, again = [], {}, set(), 0
+    for _ in range(k ** (r + 1) + 1):
+        free = core & ~sum(1 << v for lst in blades.values() for b in lst for v in b)
+        while len(base) < r + 1:
+            res = extend_clique(g, base, r, eps, within=free)
+            if isinstance(res, HypothesisViolation):
+                return finder._finish_violation(cert, res)[1], again
+            again += res in left_holding
+            base.append(res)
+            blades[res] = []
+            cert.steps.append({"kind": "extend", "added": res, "clique": sorted(base)})
+        order = sorted(base, key=lambda v: (-len(blades[v]), v))
+        ks = tuple(len(blades[v]) for v in order)
+        rotated = tuple(sorted(base))
+        for _ in range(r):
+            res = rotate_clique(g, rotated, r, eps, th["alpha_bound"], within=free)
+            if isinstance(res, HypothesisViolation):
+                return finder._finish_violation(cert, res)[1], again
+            cert.steps.append({"kind": "rotate", "from": list(rotated), "to": list(res)})
+            rotated = res
+        v_s = next(v for v in order if v in rotated)
+        s = order.index(v_s) + 1
+        new_blade = tuple(v for v in rotated if v != v_s)
+        left_holding |= {v for v in order[s:] if blades[v]}
+        base = order[:s]
+        blades = {v: blades[v] for v in base}
+        blades[v_s].append(new_blade)
+        after = sorted((len(blades[v]) for v in base), reverse=True)
+        after += [0] * (r + 1 - len(after))
+        cert.steps.append({"kind": "augment", "s": s, "center": v_s, "blade": list(new_blade),
+                           "tuple_before": list(ks), "tuple_after": after})
+        if len(blades[v_s]) >= k:
+            cert.outcome = finder._embedding_dict(FanEmbedding(v_s, tuple(blades[v_s])))
+            return cert, again
+    raise AssertionError("the augmentation loop ran past its cap")
+
+
+class TestKeptBladeMasks:
+    def test_certificates_match_the_pool_rebuilt_from_every_blade(self):
+        rng = random.Random(33_300)
+        hosts = [(REEXTENDED_HOST, 3, 2, 0.1)]
+        for _ in range(300):
+            n, r, k = rng.randint(8, 60), rng.choice((2, 3)), rng.randint(1, 3)
+            g = gnp_random(n, rng.uniform(0.6, 0.98), rng.randrange(1 << 30))
+            hosts.append((g, k, r, rng.choice((0.2, 0.3))))
+        outcomes, again = set(), []
+        for g, k, r, eps in hosts:
+            want, times = rebuilt_pool_search(g, k, r, eps)
+            _, got = find_odd_fan(g, k, r, eps)
+            assert certificate_to_json(got) == certificate_to_json(want), (g.n, k, r, eps)
+            outcomes.add(want.outcome.get("kind", "embedding"))
+            again.append(times)
+        assert again[0] == 1
+        assert outcomes == {"embedding", "edge-deficiency", "low-degree-vertex",
+                            "large-independent-set", "clique-extension-failure"}
+
+
 class TestVerifyCertificate:
     def test_accepts_embeddings_and_violations(self):
         for g, k in ((turan_graph(25, 5), 2), (turan_graph(20, 4), 1)):
@@ -725,7 +806,7 @@ class TestVerifyCertificate:
 
     def test_reports_a_checker_rejection(self, monkeypatch):
         # The faulty rotation replays, so only the checker can reject it.
-        monkeypatch.setattr(finder, "rotate_clique", empty_witness_rotation(finder.rotate_clique))
+        monkeypatch.setattr(finder, "_step_kernel", empty_witness_rotation(finder._step_kernel))
         g = gnp_random(19, 0.95, 9_000_071)
         _, cert = find_odd_fan(g, 3, 3, 0.3)
         assert cert.outcome["vertices"] == []

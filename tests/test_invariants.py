@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cliquefan.generators import gnp_random, rt_lower_construction, triangle_free_process
+from cliquefan import witness
+from cliquefan.generators import FanShape, gnp_random, rt_lower_construction, triangle_free_process
 from cliquefan.finder import HypothesisViolation, find_odd_fan
 from cliquefan.graphs import Graph, bits, is_independent, mask_from
 from cliquefan.invariants import (
@@ -14,6 +17,7 @@ from cliquefan.invariants import (
     max_matching,
 )
 from cliquefan.oracle import graph_from_code, pair_count
+from cliquefan.witness import find_fan
 from util import brute_alpha, brute_nu, complete, cycle, induced_subgraph, petersen, star
 
 
@@ -130,6 +134,79 @@ class TestMaxMatching:
         for within in (1 << 5, 1 << 5 | 0b11, -1):
             with pytest.raises(ValueError, match="restriction mask"):
                 max_matching(g, within)
+
+
+def reference_matching(adj: tuple[int, ...], mask: int) -> tuple[tuple[int, int], ...]:
+    """The maximum matching as computed before the warm start was passed in:
+    a match list over the whole host, its own greedy warm start, a search
+    from every root with an exposed root after it, and no early return."""
+    match = [-1] * len(adj)
+    for v, u in greedy_matching(adj, mask):
+        match[v], match[u] = u, v
+    roots = [v for v in bits(mask) if match[v] == -1 and adj[v] & mask]
+    for i, v in enumerate(roots):
+        if match[v] == -1 and any(match[w] == -1 for w in roots[i + 1:]):
+            _augment_from(adj, mask, v, match)
+    return tuple((v, match[v]) for v in bits(mask) if match[v] > v)
+
+
+# Greedy matches 0-1 and 2-3 and leaves the roots 4 and 5; the search from
+# 4 meets the triangle 1-2-3 and must contract it to reach 5 through 2.
+BLOSSOM = Graph(6, [(0, 4), (0, 1), (1, 2), (1, 3), (2, 3), (2, 5)])
+
+
+@st.composite
+def masked_graphs_with_odd_cycles(draw):
+    """A seeded G(n, p), an odd cycle through drawn vertices laid over it,
+    and a vertex mask: empty, one vertex, every vertex or any subset."""
+    n = draw(st.integers(0, 24))
+    p = draw(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.8)))
+    g = gnp_random(n, p, draw(st.integers(0, 2**32 - 1)))
+    edges = set(g.edges())
+    if n >= 3:
+        ring = draw(st.permutations(range(n)))[:2 * draw(st.integers(1, (n - 1) // 2)) + 1]
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])}
+    full = (1 << n) - 1
+    single = st.integers(0, n - 1).map(lambda v: 1 << v) if n else st.just(0)
+    mask = draw(st.one_of(st.just(0), single, st.just(full), st.integers(0, full)))
+    return Graph(n, sorted(edges)), mask
+
+
+class TestMatchingWarmStart:
+    """max_matching hands its greedy warm start to the blossom search, which
+    returns it as it stands when fewer than two roots remain."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(masked_graphs_with_odd_cycles())
+    @example((Graph(0), 0))
+    @example((Graph(1), 1))
+    @example((BLOSSOM, 0b111111))
+    @example((BLOSSOM, 0b011111))
+    @example((cycle(5), 0b11111))
+    @example((petersen(), (1 << 10) - 1))
+    def test_matches_the_reference_edge_for_edge_and_networkx_in_size(self, case):
+        import networkx as nx
+
+        g, mask = case
+        got = max_matching(g, mask)
+        assert got == reference_matching(g._adj, mask)
+        sub = nx.Graph((u, v) for u, v in g.edges() if mask >> u & mask >> v & 1)
+        assert len(got) == len(nx.max_weight_matching(sub, maxcardinality=True))
+
+    def test_blossom_needs_the_search_past_the_warm_start(self):
+        assert greedy_matching(BLOSSOM._adj, 0b111111) == [(0, 1), (2, 3)]
+        assert max_matching(BLOSSOM) == ((0, 4), (1, 3), (2, 5))
+        # Without 5, one root is left and the warm start comes back as it is.
+        assert max_matching(BLOSSOM, 0b011111) == ((0, 1), (2, 3))
+
+    def test_triangle_fans_on_the_golden_grid_hosts_are_unchanged(self, monkeypatch):
+        hosts = [(gnp_random(8 + i % 60, (0.5, 0.7, 0.85, 0.95)[i % 4], 9_000_000 + i),
+                  1 + (i // 3) % 3) for i in range(0, 3000, 3)]
+        got = [find_fan(g, FanShape(k, 3)) for g, k in hosts]
+        monkeypatch.setattr(witness, "_max_matching_from",
+                            lambda adj, mask, warm: reference_matching(adj, mask))
+        assert got == [find_fan(g, FanShape(k, 3)) for g, k in hosts]
+        assert sum(e is not None for e in got) > 500
 
 
 class TestMaxIndependentSet:

@@ -38,17 +38,19 @@ def wheel4() -> Graph:
     return Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)])
 
 
-def empty_witness_rotation(rotate_clique):
-    """``rotate_clique`` with each extension failure reported as an empty
-    large independent set, a witness that ``check_violation`` rejects."""
+def empty_witness_rotation(step_kernel):
+    """The clique-step kernel ``finder._step_kernel`` with each rotation's
+    extension failure reported as an empty large independent set, a
+    witness that ``check_violation`` rejects."""
 
-    def rotate(g, clique, r, eps, alpha_bound, **kwargs):
-        res = rotate_clique(g, clique, r, eps, alpha_bound, **kwargs)
-        if isinstance(res, HypothesisViolation) and res.kind == "clique-extension-failure":
+    def faulty(adj, dmask, mask, thr, r, within, alpha_bound=None):
+        res = step_kernel(adj, dmask, mask, thr, r, within, alpha_bound)
+        failed = isinstance(res, HypothesisViolation) and res.kind == "clique-extension-failure"
+        if failed and alpha_bound is not None:
             return HypothesisViolation("large-independent-set", (), 0, alpha_bound)
         return res
 
-    return rotate
+    return faulty
 
 
 def min_code(g: Graph) -> int:
